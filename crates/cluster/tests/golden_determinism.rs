@@ -234,210 +234,233 @@ fn golden_geo_quorum_run() {
     }
 }
 
-/// Failure + timeout path: one node down under write-ALL.
+/// Failure + timeout path: one node down under write-ALL. Pinned at 1 and
+/// 2 shards.
 #[test]
 fn golden_failure_timeout_run() {
-    let mut cfg = ClusterConfig::lan_test(5, 3);
-    cfg.op_timeout = SimDuration::from_millis(50);
-    let mut c = Cluster::new(cfg, 21);
-    c.load_records((0..30u64).map(|k| (k, 100)));
-    c.set_node_down(concord_sim::NodeId(2));
-    let mut at = SimTime::ZERO;
-    for i in 0..600u64 {
-        at += SimDuration::from_micros(400);
-        if i % 3 == 0 {
-            c.submit_write_with(i % 30, 100, ConsistencyLevel::All, at);
-        } else {
-            c.submit_read_at(i % 30, at);
+    for (i, shards) in [1u32, 2].into_iter().enumerate() {
+        let golden = GOLDEN_FAILURE[i];
+        let mut cfg = ClusterConfig::lan_test(5, 3);
+        cfg.op_timeout = SimDuration::from_millis(50);
+        cfg.shards = shards;
+        let mut c = Cluster::new(cfg, 21);
+        c.load_records((0..30u64).map(|k| (k, 100)));
+        c.set_node_down(concord_sim::NodeId(2));
+        let mut at = SimTime::ZERO;
+        for i in 0..600u64 {
+            at += SimDuration::from_micros(400);
+            if i % 3 == 0 {
+                c.submit_write_with(i % 30, 100, ConsistencyLevel::All, at);
+            } else {
+                c.submit_read_at(i % 30, at);
+            }
         }
-    }
-    let d = digest(&mut c);
-    maybe_print("failure", &d, &c);
+        let d = digest(&mut c);
+        maybe_print(&format!("failure[shards={shards}]"), &d, &c);
+        if capture_mode() {
+            continue;
+        }
 
-    assert_eq!(d.ops, 600);
-    assert_eq!(d.timeouts, GOLDEN_FAILURE.0);
-    assert_eq!(d.latency_sum_us, GOLDEN_FAILURE.1);
-    assert_eq!(d.checksum, GOLDEN_FAILURE.2);
-    assert_eq!(c.events_processed(), GOLDEN_FAILURE.3);
+        assert_eq!(c.shards() as u32, shards);
+        assert_eq!(d.ops, 600);
+        assert_eq!(d.timeouts, golden.0, "{shards} shards");
+        assert_eq!(d.latency_sum_us, golden.1, "{shards} shards");
+        assert_eq!(d.checksum, golden.2, "{shards} shards");
+        assert_eq!(c.events_processed(), golden.3, "{shards} shards");
+    }
 }
 
 /// Crash/recover scenario: a node crashes mid-run (ring reconfigures onto
 /// the survivors), recovers later (original token positions restored), with
 /// timeout retries enabled. Events are driven through ticks so the fault
-/// times are exact and reproducible.
+/// times are exact and reproducible. Pinned at 1 and 2 shards.
 #[test]
 fn golden_crash_recover_run() {
-    let mut cfg = ClusterConfig::lan_test(6, 3);
-    cfg.op_timeout = SimDuration::from_millis(80);
-    cfg.retry_on_timeout = 1;
-    cfg.read_repair = true;
-    let mut c = Cluster::new(cfg, 33);
-    c.load_records((0..40u64).map(|k| (k, 150)));
-    // Alternating ALL-write → ONE-read churn across the fault windows.
-    let mut at = SimTime::ZERO;
-    for i in 0..2_000u64 {
-        at += SimDuration::from_micros(400);
-        if i % 2 == 0 {
-            c.submit_write_with((i / 2) % 40, 150, ConsistencyLevel::All, at);
-        } else {
-            c.submit_read_at((i / 2) % 40, at);
-        }
-    }
-    // Crash at 100 ms, recover at 500 ms (the churn spans 800 ms); a
-    // *transient* outage of node 0 (ring untouched, so ALL writes keep
-    // targeting it and time out into retries) from 250 ms to 400 ms.
-    c.schedule_tick(SimTime::from_millis(100), 1);
-    c.schedule_tick(SimTime::from_millis(500), 2);
-    c.schedule_tick(SimTime::from_millis(250), 3);
-    c.schedule_tick(SimTime::from_millis(400), 4);
-    let mut d = RunDigest::default();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let fnv = |h: &mut u64, x: u64| {
-        *h ^= x;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    while let Some(out) = c.advance() {
-        match out {
-            concord_cluster::ClusterOutput::Tick { id: 1, .. } => {
-                c.crash_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 2, .. } => {
-                c.recover_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 3, .. } => {
-                c.set_node_down(concord_sim::NodeId(0))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 4, .. } => {
-                c.set_node_up(concord_sim::NodeId(0))
-            }
-            concord_cluster::ClusterOutput::Tick { .. } => {}
-            concord_cluster::ClusterOutput::Completed(op) => {
-                d.ops += 1;
-                if op.status == OpStatus::Timeout {
-                    d.timeouts += 1;
-                }
-                if op.stale {
-                    d.stale += 1;
-                }
-                d.latency_sum_us += op.latency().as_micros();
-                fnv(&mut h, op.completed_at.as_micros());
-                fnv(&mut h, op.returned_version.0);
+    for (i, shards) in [1u32, 2].into_iter().enumerate() {
+        let golden = GOLDEN_CRASH[i];
+        let mut cfg = ClusterConfig::lan_test(6, 3);
+        cfg.op_timeout = SimDuration::from_millis(80);
+        cfg.retry_on_timeout = 1;
+        cfg.read_repair = true;
+        cfg.shards = shards;
+        let mut c = Cluster::new(cfg, 33);
+        c.load_records((0..40u64).map(|k| (k, 150)));
+        // Alternating ALL-write → ONE-read churn across the fault windows.
+        let mut at = SimTime::ZERO;
+        for i in 0..2_000u64 {
+            at += SimDuration::from_micros(400);
+            if i % 2 == 0 {
+                c.submit_write_with((i / 2) % 40, 150, ConsistencyLevel::All, at);
+            } else {
+                c.submit_read_at((i / 2) % 40, at);
             }
         }
-    }
-    d.checksum = h;
-    maybe_print("crash_recover", &d, &c);
+        // Crash at 100 ms, recover at 500 ms (the churn spans 800 ms); a
+        // *transient* outage of node 0 (ring untouched, so ALL writes keep
+        // targeting it and time out into retries) from 250 ms to 400 ms.
+        c.schedule_tick(SimTime::from_millis(100), 1);
+        c.schedule_tick(SimTime::from_millis(500), 2);
+        c.schedule_tick(SimTime::from_millis(250), 3);
+        c.schedule_tick(SimTime::from_millis(400), 4);
+        let mut d = RunDigest::default();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let fnv = |h: &mut u64, x: u64| {
+            *h ^= x;
+            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        };
+        while let Some(out) = c.advance() {
+            match out {
+                concord_cluster::ClusterOutput::Tick { id: 1, .. } => {
+                    c.crash_node(concord_sim::NodeId(2))
+                }
+                concord_cluster::ClusterOutput::Tick { id: 2, .. } => {
+                    c.recover_node(concord_sim::NodeId(2))
+                }
+                concord_cluster::ClusterOutput::Tick { id: 3, .. } => {
+                    c.set_node_down(concord_sim::NodeId(0))
+                }
+                concord_cluster::ClusterOutput::Tick { id: 4, .. } => {
+                    c.set_node_up(concord_sim::NodeId(0))
+                }
+                concord_cluster::ClusterOutput::Tick { .. } => {}
+                concord_cluster::ClusterOutput::Completed(op) => {
+                    d.ops += 1;
+                    if op.status == OpStatus::Timeout {
+                        d.timeouts += 1;
+                    }
+                    if op.stale {
+                        d.stale += 1;
+                    }
+                    d.latency_sum_us += op.latency().as_micros();
+                    fnv(&mut h, op.completed_at.as_micros());
+                    fnv(&mut h, op.returned_version.0);
+                }
+            }
+        }
+        d.checksum = h;
+        maybe_print(&format!("crash_recover[shards={shards}]"), &d, &c);
+        if capture_mode() {
+            continue;
+        }
 
-    assert_eq!(d.ops, 2_000, "every op completes exactly once");
-    assert!(c.metrics().retries > 0, "the outage must induce retries");
-    assert!(!c.is_node_crashed(concord_sim::NodeId(2)));
-    assert_eq!(c.inflight_ops(), 0);
-    assert_eq!(c.inflight_write_payloads(), 0);
-    assert_eq!(d.timeouts, GOLDEN_CRASH.0);
-    assert_eq!(c.metrics().retries, GOLDEN_CRASH.1);
-    assert_eq!(d.latency_sum_us, GOLDEN_CRASH.2);
-    assert_eq!(d.checksum, GOLDEN_CRASH.3);
-    assert_eq!(c.events_processed(), GOLDEN_CRASH.4);
+        assert_eq!(d.ops, 2_000, "every op completes exactly once");
+        assert!(c.metrics().retries > 0, "the outage must induce retries");
+        assert!(!c.is_node_crashed(concord_sim::NodeId(2)));
+        assert_eq!(c.inflight_ops(), 0);
+        assert_eq!(c.inflight_write_payloads(), 0);
+        assert_eq!(d.timeouts, golden.0, "{shards} shards");
+        assert_eq!(c.metrics().retries, golden.1, "{shards} shards");
+        assert_eq!(d.latency_sum_us, golden.2, "{shards} shards");
+        assert_eq!(d.checksum, golden.3, "{shards} shards");
+        assert_eq!(c.events_processed(), golden.4, "{shards} shards");
+    }
 }
 
 /// The crash/recover scenario of [`golden_crash_recover_run`] with the
 /// full repair plane enabled (hinted handoff + anti-entropy + recovery
 /// migration): pins the repair engine's event interleaving, hint
-/// accounting and streamed-record metering byte-for-byte. (Captured at the
-/// introduction of the repair plane; there is no pre-repair digest.)
+/// accounting and streamed-record metering byte-for-byte, at 1 and 2
+/// shards. (The one-shard tuple was captured at the introduction of the
+/// repair plane; there is no pre-repair digest.)
 #[test]
 fn golden_repair_run() {
-    let mut cfg = ClusterConfig::lan_test(6, 3);
-    cfg.op_timeout = SimDuration::from_millis(80);
-    cfg.retry_on_timeout = 1;
-    cfg.read_repair = true;
-    cfg.repair = concord_cluster::RepairConfig::with_mode(concord_cluster::RepairMode::Full);
-    let mut c = Cluster::new(cfg, 33);
-    c.load_records((0..40u64).map(|k| (k, 150)));
-    let mut at = SimTime::ZERO;
-    for i in 0..2_000u64 {
-        at += SimDuration::from_micros(400);
-        if i % 2 == 0 {
-            c.submit_write_with((i / 2) % 40, 150, ConsistencyLevel::All, at);
-        } else {
-            c.submit_read_at((i / 2) % 40, at);
-        }
-    }
-    c.schedule_tick(SimTime::from_millis(100), 1);
-    c.schedule_tick(SimTime::from_millis(500), 2);
-    c.schedule_tick(SimTime::from_millis(250), 3);
-    c.schedule_tick(SimTime::from_millis(400), 4);
-    let mut d = RunDigest::default();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let fnv = |h: &mut u64, x: u64| {
-        *h ^= x;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    while let Some(out) = c.advance() {
-        match out {
-            concord_cluster::ClusterOutput::Tick { id: 1, .. } => {
-                c.crash_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 2, .. } => {
-                c.recover_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 3, .. } => {
-                c.set_node_down(concord_sim::NodeId(0))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 4, .. } => {
-                c.set_node_up(concord_sim::NodeId(0))
-            }
-            concord_cluster::ClusterOutput::Tick { .. } => {}
-            concord_cluster::ClusterOutput::Completed(op) => {
-                d.ops += 1;
-                if op.status == OpStatus::Timeout {
-                    d.timeouts += 1;
-                }
-                if op.stale {
-                    d.stale += 1;
-                }
-                d.latency_sum_us += op.latency().as_micros();
-                fnv(&mut h, op.completed_at.as_micros());
-                fnv(&mut h, op.returned_version.0);
+    for (i, shards) in [1u32, 2].into_iter().enumerate() {
+        let golden = GOLDEN_REPAIR[i];
+        let mut cfg = ClusterConfig::lan_test(6, 3);
+        cfg.op_timeout = SimDuration::from_millis(80);
+        cfg.retry_on_timeout = 1;
+        cfg.read_repair = true;
+        cfg.repair = concord_cluster::RepairConfig::with_mode(concord_cluster::RepairMode::Full);
+        cfg.shards = shards;
+        let mut c = Cluster::new(cfg, 33);
+        c.load_records((0..40u64).map(|k| (k, 150)));
+        let mut at = SimTime::ZERO;
+        for i in 0..2_000u64 {
+            at += SimDuration::from_micros(400);
+            if i % 2 == 0 {
+                c.submit_write_with((i / 2) % 40, 150, ConsistencyLevel::All, at);
+            } else {
+                c.submit_read_at((i / 2) % 40, at);
             }
         }
-    }
-    d.checksum = h;
-    maybe_print("repair", &d, &c);
-    if std::env::var("GOLDEN_PRINT").is_ok() {
-        let m = c.metrics();
-        println!(
-            "repair: hints=({}, {}, {}) pages={} streamed={} repair_bytes={}",
-            m.hints_queued,
-            m.hints_replayed,
-            m.hints_dropped,
-            m.repair_pages_compared,
-            m.repair_records_streamed,
-            m.repair_traffic.total(),
-        );
-    }
+        c.schedule_tick(SimTime::from_millis(100), 1);
+        c.schedule_tick(SimTime::from_millis(500), 2);
+        c.schedule_tick(SimTime::from_millis(250), 3);
+        c.schedule_tick(SimTime::from_millis(400), 4);
+        let mut d = RunDigest::default();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let fnv = |h: &mut u64, x: u64| {
+            *h ^= x;
+            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        };
+        while let Some(out) = c.advance() {
+            match out {
+                concord_cluster::ClusterOutput::Tick { id: 1, .. } => {
+                    c.crash_node(concord_sim::NodeId(2))
+                }
+                concord_cluster::ClusterOutput::Tick { id: 2, .. } => {
+                    c.recover_node(concord_sim::NodeId(2))
+                }
+                concord_cluster::ClusterOutput::Tick { id: 3, .. } => {
+                    c.set_node_down(concord_sim::NodeId(0))
+                }
+                concord_cluster::ClusterOutput::Tick { id: 4, .. } => {
+                    c.set_node_up(concord_sim::NodeId(0))
+                }
+                concord_cluster::ClusterOutput::Tick { .. } => {}
+                concord_cluster::ClusterOutput::Completed(op) => {
+                    d.ops += 1;
+                    if op.status == OpStatus::Timeout {
+                        d.timeouts += 1;
+                    }
+                    if op.stale {
+                        d.stale += 1;
+                    }
+                    d.latency_sum_us += op.latency().as_micros();
+                    fnv(&mut h, op.completed_at.as_micros());
+                    fnv(&mut h, op.returned_version.0);
+                }
+            }
+        }
+        d.checksum = h;
+        maybe_print(&format!("repair[shards={shards}]"), &d, &c);
+        if capture_mode() {
+            let m = c.metrics();
+            println!(
+                "repair[shards={shards}]: hints=({}, {}, {}) pages={} streamed={} repair_bytes={}",
+                m.hints_queued,
+                m.hints_replayed,
+                m.hints_dropped,
+                m.repair_pages_compared,
+                m.repair_records_streamed,
+                m.repair_traffic.total(),
+            );
+            continue;
+        }
 
-    assert_eq!(d.ops, 2_000, "every op completes exactly once");
-    assert_eq!(c.inflight_ops(), 0);
-    assert_eq!(c.inflight_write_payloads(), 0);
-    let m = c.metrics();
-    assert!(m.hints_queued > 0, "the outage must queue hints");
-    assert!(
-        m.repair_records_streamed > 0,
-        "the crash must trigger streams"
-    );
-    assert_eq!(d.timeouts, GOLDEN_REPAIR.0);
-    assert_eq!(d.stale, GOLDEN_REPAIR.1);
-    assert_eq!(d.latency_sum_us, GOLDEN_REPAIR.2);
-    assert_eq!(d.checksum, GOLDEN_REPAIR.3);
-    assert_eq!(c.events_processed(), GOLDEN_REPAIR.4);
-    assert_eq!(
-        (m.hints_queued, m.hints_replayed, m.hints_dropped),
-        GOLDEN_REPAIR.5
-    );
-    assert_eq!(m.repair_pages_compared, GOLDEN_REPAIR.6);
-    assert_eq!(m.repair_records_streamed, GOLDEN_REPAIR.7);
-    assert_eq!(m.repair_traffic.total(), GOLDEN_REPAIR.8);
+        assert_eq!(d.ops, 2_000, "every op completes exactly once");
+        assert_eq!(c.inflight_ops(), 0);
+        assert_eq!(c.inflight_write_payloads(), 0);
+        let m = c.metrics();
+        assert!(m.hints_queued > 0, "the outage must queue hints");
+        assert!(
+            m.repair_records_streamed > 0,
+            "the crash must trigger streams"
+        );
+        assert_eq!(d.timeouts, golden.0, "{shards} shards");
+        assert_eq!(d.stale, golden.1, "{shards} shards");
+        assert_eq!(d.latency_sum_us, golden.2, "{shards} shards");
+        assert_eq!(d.checksum, golden.3, "{shards} shards");
+        assert_eq!(c.events_processed(), golden.4, "{shards} shards");
+        assert_eq!(
+            (m.hints_queued, m.hints_replayed, m.hints_dropped),
+            golden.5,
+            "{shards} shards"
+        );
+        assert_eq!(m.repair_pages_compared, golden.6, "{shards} shards");
+        assert_eq!(m.repair_records_streamed, golden.7, "{shards} shards");
+        assert_eq!(m.repair_traffic.total(), golden.8, "{shards} shards");
+    }
 }
 
 /// Gray-failure scenario with the full resilience layer on: hedged reads
@@ -839,29 +862,53 @@ const GOLDEN_QUORUM: [(u64, u64, u64, u64); 3] = [
     (44_868_937, 14999936417424129039, 45_846, 10_900_000),
     (45_214_288, 1715814602399151384, 45_852, 10_900_000),
 ];
-// (timeouts, latency_sum_us, checksum, events).
-const GOLDEN_FAILURE: (u64, u64, u64, u64) = (107, 5_735_824, 5079826259043572358, 3_879);
+// (timeouts, latency_sum_us, checksum, events), per shard count [1, 2]
+// (the 2-shard tuples of this, the crash and the repair golden were
+// captured with GOLDEN_PRINT=1 when the sharded fault and repair paths got
+// their first goldens).
+const GOLDEN_FAILURE: [(u64, u64, u64, u64); 2] = [
+    (107, 5_735_824, 5079826259043572358, 3_879),
+    (112, 5_972_889, 850796609387105413, 3_864),
+];
 // Fault-scenario digests (captured at the introduction of fault injection;
 // re-capture with GOLDEN_PRINT=1 after intentional semantic changes):
-// (timeouts, retries, latency_sum_us, checksum, events).
-const GOLDEN_CRASH: (u64, u64, u64, u64, u64) = (61, 147, 18_554_388, 18292732308431460120, 16_744);
+// (timeouts, retries, latency_sum_us, checksum, events), per shard count
+// [1, 2].
+const GOLDEN_CRASH: [(u64, u64, u64, u64, u64); 2] = [
+    (61, 147, 18_554_388, 18292732308431460120, 16_744),
+    (60, 147, 18_494_973, 3645923232704856466, 17_126),
+];
 // Repair-plane digest (captured at the introduction of the repair plane;
 // re-capture with GOLDEN_PRINT=1 after intentional semantic changes):
 // (timeouts, stale, latency_sum_us, checksum, events,
 //  (hints_queued, hints_replayed, hints_dropped), repair_pages_compared,
-//  repair_records_streamed, repair_traffic_total).
+//  repair_records_streamed, repair_traffic_total), per shard count [1, 2].
 type HintCounters = (u64, u64, u64);
-const GOLDEN_REPAIR: (u64, u64, u64, u64, u64, HintCounters, u64, u64, u64) = (
-    59,
-    0,
-    18_510_376,
-    7688465609908642402,
-    17_526,
-    (187, 187, 0),
-    64,
-    81,
-    65_756,
-);
+type RepairGolden = (u64, u64, u64, u64, u64, HintCounters, u64, u64, u64);
+const GOLDEN_REPAIR: [RepairGolden; 2] = [
+    (
+        59,
+        0,
+        18_510_376,
+        7688465609908642402,
+        17_526,
+        (187, 187, 0),
+        64,
+        81,
+        65_756,
+    ),
+    (
+        62,
+        1,
+        19_057_952,
+        13780862401691651977,
+        17_908,
+        (187, 187, 0),
+        64,
+        83,
+        66_176,
+    ),
+];
 // Resilience-layer digest (captured at the introduction of the resilience
 // layer; re-capture with GOLDEN_PRINT=1 after intentional semantic
 // changes): per shard count [1, 2, 4], (timeouts, latency_sum_us, checksum,
