@@ -233,8 +233,10 @@
 //! A single big run is one event stream, and the event queue above caps it
 //! at a few million events per second. `--shards <n>` (every
 //! cluster-driving binary; `ClusterConfig::shards`, so sweeps can grid over
-//! it) runs the cluster on `concord_sim::ShardedEventQueue`: the
-//! conservative parallel-discrete-event decomposition of that stream.
+//! it) sets how many event shards `concord_cluster::Cluster` decomposes
+//! that stream into: a conservative parallel discrete-event simulation
+//! whose shards own plain `concord_sim::EventQueue` lanes. One shard is the
+//! same engine with no peers — the same handlers, windows and folds.
 //!
 //! * **Shard map.** Nodes are ordered by `(datacenter, id)` and cut into
 //!   `n` contiguous groups, so datacenters stay shard-contiguous and
@@ -293,15 +295,22 @@
 //!   alongside `shards`, `shard_windows`, `cross_shard_staged`,
 //!   `parallel_batches`, `barrier_folds`, `elided_barriers`,
 //!   `fast_forwards` and `max_batch_len`; coordinator-homed routing keeps
-//!   violations at zero in practice).
+//!   violations at zero in practice). Ticks and repair timers run on a
+//!   separate control lane at window edges.
+//! * **One shard.** A lone shard has no peer bounding its window, but the
+//!   driver is a zero-lookahead peer: a closed-loop client resubmits at
+//!   `completed_at + think`. So a one-shard window ends after the first
+//!   event that emits an output or stages control work, and closes and
+//!   folds at that event's instant — the driver sees `now() ==
+//!   completed_at` and no resubmission falls behind the clock. This is the
+//!   only rule that depends on the shard count; the sync counters above
+//!   are reported as zero at one shard, which synchronizes with no peer.
 //!
-//! **The determinism contract.** `--shards 1` runs the sequential engine
-//! and stays byte-identical to every pre-existing golden digest. Each
-//! shard count above 1 is its **own deterministic universe**: per-shard
-//! RNG streams sample a different (equally valid) stochastic trajectory
-//! than the serial stream, so outputs differ *across* shard counts while
-//! the physics — staleness rates, latency distributions, traffic — stays
-//! in family. What is pinned instead is that within a shard count the
+//! **The determinism contract.** Each shard count is its **own
+//! deterministic universe**: per-shard RNG streams sample different
+//! (equally valid) stochastic trajectories, so outputs differ *across*
+//! shard counts while the physics — staleness rates, latency
+//! distributions, traffic — stays in family. What is pinned instead is that within a shard count the
 //! output is a pure function of the seed: **thread count is a pure
 //! performance knob**, because batches produce into per-shard sinks and
 //! the barrier folds them in fixed shard order regardless of which worker
@@ -320,11 +329,10 @@
 //! printing one `BARRIER_DATAPOINT` line per shard count with the
 //! window/fold/elision/fast-forward counters next to the throughput, so
 //! nightly CI charts how much synchronization each run actually paid for.
-//! One honesty note on the numbers: the PR containers are single-core, so
-//! every recorded shards > 1 figure measures pure engine *overhead*
-//! (windowing + barrier bookkeeping on one core), not parallel speedup —
-//! the nightly matrix on a multi-core runner is where the speedup curve
-//! comes from.
+//! One honesty note on the numbers: the vendored pool spawns its worker
+//! threads per window dispatch, so on few cores a shards > 1 run at more
+//! than one thread mostly measures dispatch *overhead*, not parallel
+//! speedup; compare thread counts only within one machine and session.
 //!
 //! ## The resilience layer: `--hedge <ms>`, `--selection dynamic`, `--backoff`
 //!

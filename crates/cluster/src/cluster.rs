@@ -22,14 +22,16 @@
 //! client. The staleness oracle classifies the result against the newest
 //! version acknowledged before the read was issued.
 //!
-//! ## Parallel sharded execution
-//! With `shards > 1` the cluster runs as a conservative parallel DES: every
-//! shard owns a contiguous group of nodes (whole datacenters where possible)
-//! and carries its **own** event lane, RNG stream, op slab, metric sinks and
-//! payload slab. Each operation is routed at submission: its coordinator is
-//! drawn from the control stream and the op homes on the coordinator's
-//! shard, so every message it exchanges travels a real coordinator↔replica
-//! link — cross-shard exactly when it crosses the shard cut. The simulation
+//! ## Sharded execution
+//! The cluster runs as a conservative parallel DES over `shards ≥ 1` event
+//! shards: every shard owns a contiguous group of nodes (whole datacenters
+//! where possible) and carries its **own** event lane, RNG stream, op slab,
+//! metric sinks and payload slab. One shard is simply the case with no
+//! peers; it runs the same handlers, windows and folds as shard *k* of *N*.
+//! Each operation is routed at submission: its coordinator is drawn from
+//! the control stream and the op homes on the coordinator's shard, so every
+//! message it exchanges travels a real coordinator↔replica link —
+//! cross-shard exactly when it crosses the shard cut. The simulation
 //! advances in lookahead windows bounded per shard by that shard's row of
 //! an S×S **lookahead matrix** of pairwise link-delay infima (with
 //! datacenter-aligned cuts, each pair's bound is the delay floor between
@@ -37,6 +39,7 @@
 //! tightest LAN link): within a window each shard drains its lane
 //! independently — the batches execute in parallel on the work-stealing
 //! pool — while cross-shard effects are staged per destination shard.
+//! Ticks and repair timers run on a separate control lane at window edges.
 //!
 //! Closing a window has two tiers. **Delivery** happens at every close:
 //! staged data-plane messages (events, write tasks) are drained from
@@ -67,11 +70,17 @@
 //! ack always folds no later than the completion of any read it could
 //! affect, and same-fold acks with later times are filtered by timestamp.
 //!
+//! Exactly one rule depends on the shard count. A lone shard has no peer to
+//! wait for, but the driver is a zero-lookahead peer: it may react to an
+//! output at that output's own instant (a closed-loop client resubmits at
+//! `completed_at + think`). So a one-shard window ends after the first
+//! event that emits an output or stages control work, and closes and folds
+//! at that event's instant — the driver then sees `now() == completed_at`
+//! and its resubmission never falls behind the clock.
+//!
 //! Determinism contract:
-//! * `shards == 1` executes the exact serial path — byte-identical to the
-//!   pre-sharding engine for every seed;
-//! * for each `shards > 1`, output is byte-identical across 1, 2, 4, 8, …
-//!   worker threads (fingerprints depend only on the shard count);
+//! * for each shard count, output is byte-identical across 1, 2, 4, 8, …
+//!   worker threads (fingerprints depend only on `(seed, shards)`);
 //! * handlers running inside a window touch nothing but the read-only
 //!   [`ClusterShared`] snapshot and their own [`ShardState`] — enforced by
 //!   the borrow checker, not by convention.
@@ -245,11 +254,9 @@ enum Event {
     CoordinatorWriteAck {
         op_id: OpId,
         from: NodeId,
-        /// When the acking replica applied the write. The parallel engine
-        /// derives the full-propagation sample from the max applied time
-        /// over all acks (replica-side op state is unreadable across
-        /// shards); the serial path ignores it and samples at apply time
-        /// exactly as the pre-sharding engine did.
+        /// When the acking replica applied the write. The full-propagation
+        /// sample is the max applied time over all acks (replica-side op
+        /// state is unreadable across shards).
         applied_at: SimTime,
     },
     CoordinatorReadResponse {
@@ -388,11 +395,9 @@ impl BatchOp {
 struct WriteState {
     key: Key,
     version: Version,
-    coordinator: NodeId,
     issued_at: SimTime,
     required_acks: u32,
     acks: u32,
-    applied: u32,
     targeted: u32,
     completed: bool,
     level_used: u32,
@@ -406,9 +411,8 @@ struct WriteState {
     /// generation check), but the completion is always reported under this
     /// one, keeping client-side correlation intact.
     client_id: OpId,
-    /// Latest apply time reported by an ack (parallel engine only; see
-    /// [`Event::CoordinatorWriteAck::applied_at`]). Unused — and untouched —
-    /// on the serial path.
+    /// Latest apply time reported by an ack (see
+    /// [`Event::CoordinatorWriteAck::applied_at`]).
     max_applied_at: SimTime,
 }
 
@@ -431,13 +435,10 @@ struct ReadState {
     best_version: Version,
     best_size: u32,
     min_version: Version,
-    /// The freshness requirement captured at attempt start — serial engine
-    /// only. The parallel engine resolves it retroactively at the
-    /// completion fold ([`StalenessOracle::expected_version_at`] as of
-    /// `attempt_at`) and leaves this [`Version::NONE`].
-    expected_version: Version,
-    /// When this attempt was issued (the retroactive-classification
-    /// instant; `issued_at` spans attempts, this one does not).
+    /// When this attempt was issued: the fold classifies the read against
+    /// the acks that precede this instant
+    /// ([`StalenessOracle::classify_read_at`]). `issued_at` spans attempts,
+    /// this one does not.
     attempt_at: SimTime,
     /// The replicas this read contacted (for read repair). Inline up to 8
     /// nodes, so issuing a read does not allocate.
@@ -469,15 +470,13 @@ struct RetryCtx {
 #[derive(Debug, Clone, Copy)]
 struct PendingOp {
     sub: Submission,
-    /// The coordinator this attempt was routed to. The parallel engine
-    /// draws it at submission (or resubmission-fold) time from the control
-    /// stream and homes the op on the coordinator's shard, so every message
-    /// the attempt sends or receives travels a real coordinator↔replica
-    /// link — cross-shard exactly when it crosses the shard cut, never
-    /// faster than the lookahead bound. The serial engine keeps `None` and
-    /// draws at arrival from the single stream, exactly as the pre-sharding
-    /// engine did.
-    coordinator: Option<NodeId>,
+    /// The coordinator this attempt was routed to, drawn at submission (or
+    /// resubmission-fold) time from the control stream. The op homes on
+    /// the coordinator's shard, so every message the attempt sends or
+    /// receives travels a real coordinator↔replica link — cross-shard
+    /// exactly when it crosses the shard cut, never faster than the
+    /// lookahead bound.
+    coordinator: NodeId,
     /// `None` for first attempts (issued at arrival, under their own id,
     /// with the configured budget).
     retry: Option<RetryCtx>,
@@ -785,14 +784,8 @@ struct ShardState {
     /// mod nshards) so ownership is recoverable from the id.
     ops: OpSlab<OpState>,
     metrics: ClusterMetrics,
-    /// Serial-engine version counter: the pre-sharding global `1, 2, 3, …`
-    /// stream. The parallel engine allocates timestamp-packed versions
-    /// instead (see [`ShardState::alloc_version_at`]) so last-writer-wins
-    /// order follows simulated time no matter which shard coordinates a
-    /// key's writes.
-    next_version: u64,
-    /// Microsecond of the most recent parallel version allocation, and the
-    /// tie-break sequence within it.
+    /// Microsecond of the most recent version allocation, and the
+    /// tie-break sequence within it (see [`ShardState::alloc_version_at`]).
     version_last_us: u64,
     version_seq: u32,
     /// Full-length per-node tables; only the slots of nodes mapped to this
@@ -808,10 +801,7 @@ struct ShardState {
     replica_cache: ReplicaCache,
     /// Scratch buffer for replica lists; reused across operations.
     replica_scratch: Vec<NodeId>,
-    /// Scratch buffer for the up-node list when nodes are down.
-    up_scratch: Vec<NodeId>,
-    /// Outputs produced this window, drained at the window close (serial
-    /// mode: drained after every event, preserving the pre-sharding order).
+    /// Outputs produced this window, drained at the window close.
     outputs: Vec<ClusterOutput>,
     /// Full-propagation samples produced this window, drained at the close.
     propagation: Vec<SimDuration>,
@@ -849,20 +839,18 @@ struct ShardState {
 }
 
 /// Control-plane state: the repair plane (hint queues, sweep cursor), the
-/// control event lane (ticks and repair events in parallel mode) and the
-/// dedicated RNG/metric sink that fold-time completions draw from. Runs
-/// only at serial points — barrier edges and between-window calls — never
-/// inside a parallel window.
+/// control event lane (ticks and repair events) and the dedicated
+/// RNG/metric sink that fold-time work draws from. Runs only at serial
+/// points — barrier edges and between-window calls — never inside a
+/// window.
 struct ControlState {
-    /// Control event lane (parallel mode only; with one shard, control
-    /// events ride the single shard lane to stay byte-identical to the
-    /// pre-sharding engine).
+    /// Control event lane: ticks and repair timers, run at window edges.
     lane: EventQueue<Event>,
     /// Control-plane RNG: stream index `nshards` of the master seed, so it
     /// never collides with a shard stream.
     rng: SimRng,
-    /// Control-plane meters (fold-time message accounting, repair traffic
-    /// in parallel mode); merged into reports after the shard sinks.
+    /// Control-plane meters (hint queueing, repair traffic); merged into
+    /// reports after the shard sinks.
     metrics: ClusterMetrics,
     /// Per-destination hinted-handoff queues, bounded by
     /// `repair.hint_capacity_per_node`.
@@ -886,12 +874,9 @@ struct ControlState {
     /// Placement cache for control-plane ring walks (repair membership
     /// gates, bulk-load placement).
     replica_cache: ReplicaCache,
-    /// The ground-truth staleness oracle. One central instance: its version
-    /// histories are read-only during parallel windows (every shard probes
-    /// the same barrier snapshot) and mutated only at serial points — acks
-    /// staged to the fold, preloads before the run, and the serial engine's
-    /// inline calls, which make it byte-identical to the pre-sharding
-    /// single oracle.
+    /// The ground-truth staleness oracle. One central instance, untouched
+    /// while windows run and mutated only at serial points: preloads
+    /// before the run, and acks and read classifications at folds.
     oracle: StalenessOracle,
 }
 
@@ -921,16 +906,15 @@ pub struct Cluster {
     /// by [`LinkClass`]); the basis `refresh_lookahead` recomputes the
     /// matrix from when degradation factors change.
     pair_classes: Vec<[bool; 4]>,
-    /// Time of the last processed event (serial) / high-water mark over the
-    /// shard lanes (parallel).
+    /// High-water mark of processed event times over all lanes.
     clock: SimTime,
     outputs: VecDeque<ClusterOutput>,
     propagation_samples: Vec<SimDuration>,
     /// Scratch for bulk-load placement walks and up-node coordinator draws
     /// at serial points (submission, resubmission folds).
     home_scratch: Vec<NodeId>,
-    /// Synchronization counters of the sharded engine (all zero with one
-    /// shard: the serial path never crosses a window barrier).
+    /// Synchronization counters (reported as zero with one shard, which
+    /// has no peers to synchronize with; see [`Cluster::shard_metrics`]).
     sync: ShardMetrics,
     /// Client outputs gathered at window closes, published (time-sorted) at
     /// the next fold. Per-window output time ranges are disjoint and
@@ -1055,9 +1039,9 @@ fn account_hedge_message(
 /// Exponential retry backoff with deterministic RNG-drawn jitter: the
 /// nominal delay doubles per consumed retry (`base`, `2·base`, `4·base`, …)
 /// up to the configured cap, then a full-jitter-style multiplier in
-/// `[0.5, 1.5)` is drawn from the given stream (a shard's inside the serial
-/// path, the control plane's at a resubmission fold). The draw happens on
-/// every backoff retry and only then — backoff off means zero extra draws.
+/// `[0.5, 1.5)` is drawn from the given stream (the control plane's, at a
+/// resubmission fold). The draw happens on every backoff retry and only
+/// then — backoff off means zero extra draws.
 fn backoff_delay(
     res: &crate::config::ResilienceConfig,
     retry_budget: u32,
@@ -1087,30 +1071,6 @@ fn abandon_in(s: &mut ShardState, op_id: OpId) {
     }
 }
 
-/// (Re)start the anti-entropy sweep cycle at simulated time `now`. The
-/// `AntiEntropy` chain rides the single shard lane when one is given
-/// (serial mode: byte-identical timer-wheel placement to the pre-sharding
-/// engine) and the control lane otherwise.
-fn resume_sweeps_parts(
-    shared: &ClusterShared,
-    ctrl: &mut ControlState,
-    serial_lane: Option<&mut EventQueue<Event>>,
-    now: SimTime,
-) {
-    if !shared.config.repair.mode.anti_entropy_enabled() || shared.node_count < 2 {
-        return;
-    }
-    ctrl.sweep_idle_rounds = 0;
-    if !ctrl.sweep_active {
-        ctrl.sweep_active = true;
-        let at = now + shared.config.repair.sweep_interval();
-        match serial_lane {
-            Some(lane) => lane.schedule_timeout(at, Event::AntiEntropy),
-            None => ctrl.lane.schedule_timeout(at, Event::AntiEntropy),
-        }
-    }
-}
-
 /// The `idx`-th unordered node pair `(i, j)`, `i < j`, in row-major
 /// enumeration order.
 fn unrank_pair(mut idx: u64, n: u64) -> (u64, u64) {
@@ -1126,14 +1086,7 @@ fn unrank_pair(mut idx: u64, n: u64) -> (u64, u64) {
 }
 
 impl ShardState {
-    /// Allocate the next serial-engine write version: the pre-sharding
-    /// global `1, 2, 3, …` counter (one shard owns the whole stream).
-    fn alloc_version_serial(&mut self) -> Version {
-        self.next_version += 1;
-        Version(self.next_version)
-    }
-
-    /// Allocate a parallel-engine write version: timestamp-packed as
+    /// Allocate a write version: timestamp-packed as
     /// `(µs+1) << 24 | seq << 8 | shard`, the simulator's analogue of
     /// Cassandra's client-timestamp LWW ordering. Per-key version order
     /// follows simulated time no matter which shard coordinates each
@@ -1154,6 +1107,14 @@ impl ShardState {
             self.version_seq += 1;
         }
         Version((us << 24) | ((self.version_seq as u64) << 8) | self.shard as u64)
+    }
+
+    /// Whether this window produced anything the fold must publish or
+    /// apply: a client output, a read awaiting classification, or a staged
+    /// control effect. Ends a one-shard window (see [`Cluster::step_window`]).
+    #[inline]
+    fn has_fold_work(&self) -> bool {
+        !self.outputs.is_empty() || !self.outbox_dones.is_empty() || !self.outbox_ctrl.is_empty()
     }
 
     /// Intern a write-fan-out payload with zero references; callers bump the
@@ -1242,8 +1203,8 @@ impl Cluster {
         let storage_read_sampler = config.storage_read_latency.compiled();
         let storage_write_sampler = config.storage_write_latency.compiled();
         let shards = config.effective_shards();
-        // The timestamp-packed parallel version layout reserves 8 bits for
-        // the allocating shard (see `ShardState::alloc_version_at`).
+        // The timestamp-packed version layout reserves 8 bits for the
+        // allocating shard (see `ShardState::alloc_version_at`).
         assert!(shards <= 256, "at most 256 event-lane shards are supported");
         let node_shard = Self::build_shard_map(&config.topology, shards);
         let mut pair_classes = vec![[false; 4]; shards * shards];
@@ -1282,17 +1243,9 @@ impl Cluster {
             .map(|k| ShardState {
                 shard: k as u32,
                 lane: EventQueue::new(),
-                // With one shard the lane IS the pre-sharding engine, so it
-                // keeps the master stream; true shard streams are split off
-                // the master seed per shard.
-                rng: if shards == 1 {
-                    SimRng::new(seed)
-                } else {
-                    SimRng::shard_stream(seed, k as u64)
-                },
+                rng: SimRng::shard_stream(seed, k as u64),
                 ops: OpSlab::with_stride(shards as u32, k as u32),
                 metrics: fresh_metrics(&config),
-                next_version: 0,
                 version_last_us: 0,
                 version_seq: 0,
                 // Page summaries cost two mixes per installed write; only
@@ -1313,7 +1266,6 @@ impl Cluster {
                 payload_live: 0,
                 replica_cache: ReplicaCache::new(effective_rf),
                 replica_scratch: Vec::with_capacity(config.replication_factor as usize),
-                up_scratch: Vec::with_capacity(n),
                 outputs: Vec::new(),
                 propagation: Vec::new(),
                 outbox_dest: (0..shards).map(|_| Vec::new()).collect(),
@@ -1485,44 +1437,17 @@ impl Cluster {
         self.lookahead = global;
     }
 
-    /// Whether this cluster runs the exact serial path (one shard).
-    #[inline]
-    fn serial(&self) -> bool {
-        self.shard_states.len() == 1
-    }
-
-    /// The lane control events ride: the single shard lane when serial
-    /// (byte-identical placement to the pre-sharding engine), the dedicated
-    /// control lane otherwise.
-    fn ctrl_lane(&mut self) -> &mut EventQueue<Event> {
-        if self.shard_states.len() == 1 {
-            &mut self.shard_states[0].lane
-        } else {
-            &mut self.ctrl.lane
-        }
-    }
-
-    /// The metric sink control-plane accounting goes to: shard 0's when
-    /// serial (byte-identical to the pre-sharding engine), the control
-    /// plane's otherwise.
-    fn ctrl_metrics(&mut self) -> &mut ClusterMetrics {
-        if self.shard_states.len() == 1 {
-            &mut self.shard_states[0].metrics
-        } else {
-            &mut self.ctrl.metrics
-        }
-    }
-
-    /// Draw the coordinator for a parallel-engine attempt from the control
-    /// stream: uniform over the currently-up nodes, the same distribution
-    /// [`ShardCtx::pick_coordinator`] draws at arrival on the serial path.
-    /// Runs only at serial points (submission, resubmission folds), so the
-    /// draw order is a pure function of the driver's call sequence. The
-    /// attempt is then homed on the coordinator's shard — every message it
-    /// exchanges travels a real coordinator↔replica link, so a cross-shard
-    /// delivery is exactly a delivery across the shard cut and can never
-    /// undershoot the lookahead bound.
-    fn draw_coordinator_ctrl(&mut self) -> NodeId {
+    /// Draw the coordinator for an attempt from the control stream: uniform
+    /// over the currently-up nodes (clients connect to a random live node;
+    /// YCSB spreads connections round-robin, and with many clients the
+    /// effect is uniform). Runs only at serial points (submission,
+    /// resubmission folds), so the draw order is a pure function of the
+    /// driver's call sequence. The attempt is then homed on the
+    /// coordinator's shard — every message it exchanges travels a real
+    /// coordinator↔replica link, so a cross-shard delivery is exactly a
+    /// delivery across the shard cut and can never undershoot the lookahead
+    /// bound.
+    fn draw_coordinator(&mut self) -> NodeId {
         if self.shared.down_count == 0 {
             return NodeId(self.ctrl.rng.index(self.shared.node_count) as u32);
         }
@@ -1551,9 +1476,14 @@ impl Cluster {
 
     /// Synchronization counters of the sharded engine (lookahead windows
     /// crossed, parallel handler batches, cross-shard events staged, barrier
-    /// folds, bound violations). All zero with one shard.
+    /// folds, bound violations). All zero with one shard: a lone shard's
+    /// windows synchronize with no peer, so there is nothing to report.
     pub fn shard_metrics(&self) -> ShardMetrics {
-        self.sync
+        if self.shard_states.len() == 1 {
+            ShardMetrics::default()
+        } else {
+            self.sync
+        }
     }
 
     /// The current conservative lookahead window bound: the global minimum
@@ -1618,20 +1548,16 @@ impl Cluster {
         self.shared.selection = selection;
     }
 
-    /// Ground-truth staleness totals. One central oracle serves both
-    /// engines: the serial engine classifies inline, the parallel engine at
-    /// barrier folds (deferred read completions in `pending_dones`), so its
-    /// counters are the whole view once a run has drained (mid-run, elided
-    /// barriers may defer classification until the next fold).
+    /// Ground-truth staleness totals. One central oracle classifies reads
+    /// at barrier folds (deferred read completions in `pending_dones`), so
+    /// its counters are the whole view once a run has drained (mid-run,
+    /// elided barriers may defer classification until the next fold).
     pub fn oracle(&self) -> OracleStats {
         self.ctrl.oracle.stats()
     }
 
     /// Aggregate metrics of the run so far: the per-shard sinks merged in
-    /// shard order, then the control-plane sink. With one shard the merge
-    /// chain is a clone of the only populated sink (merging all-zero sinks
-    /// is exact), so serial reports are byte-identical to the pre-sharding
-    /// engine's.
+    /// shard order, then the control-plane sink.
     pub fn metrics(&self) -> ClusterMetrics {
         let mut merged = self.shard_states[0].metrics.clone();
         merged.merge_many(
@@ -1750,7 +1676,7 @@ impl Cluster {
                     if !self.shared.down[peer] {
                         // Fault-driven control broadcast: runs at a barrier
                         // edge, not as a cross-shard message.
-                        self.ctrl_lane().schedule_at(
+                        self.ctrl.lane.schedule_at(
                             now,
                             Event::RepairSync {
                                 node: NodeId(peer as u32),
@@ -1776,8 +1702,7 @@ impl Cluster {
             self.rebuild_ring();
             if self.shared.config.repair.mode.anti_entropy_enabled() {
                 let now = self.clock;
-                self.ctrl_lane()
-                    .schedule_at(now, Event::RepairSync { node });
+                self.ctrl.lane.schedule_at(now, Event::RepairSync { node });
             }
         }
     }
@@ -1926,19 +1851,13 @@ impl Cluster {
     /// accounting): every replica of each key receives the key's baseline
     /// version.
     pub fn load_records(&mut self, records: impl Iterator<Item = (u64, u32)>) {
-        let serial = self.serial();
+        // Every preload shares the floor `Version(1)`: last-writer-wins only
+        // compares versions of the *same* key, each key is preloaded once,
+        // and every runtime version is timestamp-packed (≥ 2^24), so the
+        // baseline always loses to the first real write.
+        let version = Version(1);
         for (key, size) in records {
             let key = Key(key);
-            // Serial: the pre-sharding global version counter. Parallel:
-            // every preload shares the floor `Version(1)` — last-writer-wins
-            // only compares versions of the *same* key, each key is preloaded
-            // once, and every runtime version is timestamp-packed (≥ 2^24),
-            // so the baseline always loses to the first real write.
-            let version = if serial {
-                self.shard_states[0].alloc_version_serial()
-            } else {
-                Version(1)
-            };
             let mut replicas = std::mem::take(&mut self.home_scratch);
             self.ctrl
                 .replica_cache
@@ -2066,19 +1985,13 @@ impl Cluster {
         op_id
     }
 
-    /// Route one submission to its home shard. Serial: shard 0, coordinator
-    /// drawn at arrival (the pre-sharding behaviour, byte-identical).
-    /// Parallel: the coordinator is drawn here from the control stream and
-    /// the attempt homes on its shard (see
-    /// [`Cluster::draw_coordinator_ctrl`]).
+    /// Route one submission: draw its coordinator from the control stream
+    /// and home the attempt on the coordinator's shard (see
+    /// [`Cluster::draw_coordinator`]).
     #[inline]
-    fn route_submission(&mut self) -> (usize, Option<NodeId>) {
-        if self.serial() {
-            (0, None)
-        } else {
-            let coordinator = self.draw_coordinator_ctrl();
-            (self.shared.shard_of(coordinator), Some(coordinator))
-        }
+    fn route_submission(&mut self) -> (usize, NodeId) {
+        let coordinator = self.draw_coordinator();
+        (self.shared.shard_of(coordinator), coordinator)
     }
 
     /// Bulk-submit a pre-sorted open-loop arrival stream.
@@ -2140,7 +2053,7 @@ impl Cluster {
     pub fn schedule_tick(&mut self, at: SimTime, id: u64) {
         // Ticks are external control events with no home node; they ride
         // the control lane and run at barrier edges.
-        self.ctrl_lane().schedule_at(at, Event::Tick { id });
+        self.ctrl.lane.schedule_at(at, Event::Tick { id });
     }
 
     /// Process events until something reportable happens (an operation
@@ -2159,53 +2072,12 @@ impl Cluster {
     }
 
     fn advance_inner(&mut self, deadline: Option<SimTime>) -> Option<ClusterOutput> {
-        if self.serial() {
-            return self.advance_serial(deadline);
-        }
         loop {
             if let Some(out) = self.outputs.pop_front() {
                 return Some(out);
             }
             if !self.step_window(deadline) {
                 return None;
-            }
-        }
-    }
-
-    /// The exact pre-sharding event loop: one lane, one RNG, every handler
-    /// inline. Byte-identical to the engine before parallel execution.
-    fn advance_serial(&mut self, deadline: Option<SimTime>) -> Option<ClusterOutput> {
-        loop {
-            if let Some(out) = self.outputs.pop_front() {
-                return Some(out);
-            }
-            let (now, event) = match deadline {
-                Some(d) => self.shard_states[0].lane.pop_before(d)?,
-                None => self.shard_states[0].lane.pop()?,
-            };
-            self.clock = now;
-            self.dispatch_serial(now, event);
-        }
-    }
-
-    fn dispatch_serial(&mut self, now: SimTime, event: Event) {
-        match event {
-            Event::Tick { id } => self.outputs.push_back(ClusterOutput::Tick { id, at: now }),
-            Event::HintReplay { node } => self.on_hint_replay(now, node),
-            Event::AntiEntropy => self.on_anti_entropy(now),
-            Event::RepairSync { node } => self.on_repair_sync(now, node),
-            other => {
-                let mut ctx = ShardCtx {
-                    shared: &self.shared,
-                    s: &mut self.shard_states[0],
-                    ctrl: Some(&mut self.ctrl),
-                    // The serial path never stages, so it has no boundary.
-                    boundary: SimTime::ZERO,
-                };
-                ctx.handle(now, other);
-                // Preserve the pre-sharding output order: completions enter
-                // the global queue the moment their event produced them.
-                self.outputs.extend(self.shard_states[0].outputs.drain(..));
             }
         }
     }
@@ -2239,15 +2111,15 @@ impl Cluster {
     }
 
     // ------------------------------------------------------------------
-    // Parallel window machinery
+    // Window machinery
     // ------------------------------------------------------------------
 
-    /// Advance the parallel engine by one step: either run one due control
-    /// event at a barrier edge, or execute one lookahead window (parallel
-    /// shard batches + window close, folding only when control-plane work
-    /// demands it). Returns `false` when nothing is left (or the next event
-    /// lies beyond `deadline`) *and* no deferred fold work remained to
-    /// flush.
+    /// Advance the engine by one step: either run one due control event at
+    /// a barrier edge, or execute one lookahead window (parallel shard
+    /// batches + window close, folding only when control-plane work or a
+    /// one-shard output demands it). Returns `false` when nothing is left
+    /// (or the next event lies beyond `deadline`) *and* no deferred fold
+    /// work remained to flush.
     fn step_window(&mut self, deadline: Option<SimTime>) -> bool {
         let shard_min = self
             .shard_states
@@ -2327,22 +2199,35 @@ impl Cluster {
             end_key = end_key.min(pack(d + SimDuration::from_micros(1), 0));
         }
         let boundary = unpack_time(end_key);
+        // The one rule that depends on the shard count: a lone shard has no
+        // peer bounding its window, but the driver is a zero-lookahead peer
+        // that may react to any output at that output's instant. So a
+        // one-shard window stops after the first event that emits an output
+        // or stages control work, and closes and folds at that instant.
+        let lone = self.shard_states.len() == 1;
         let shared = &self.shared;
         rayon::par_for_each_mut(&mut self.shard_states, |_, s| {
             let mut ctx = ShardCtx {
                 shared,
                 s,
-                ctrl: None,
                 boundary,
             };
             let mut popped = 0u64;
             while let Some((t, event)) = ctx.s.lane.pop_before_key(end_key) {
                 ctx.handle(t, event);
                 popped += 1;
+                if lone && ctx.s.has_fold_work() {
+                    break;
+                }
             }
             ctx.s.window_popped = popped;
         });
-        self.close_window(boundary);
+        if lone && self.shard_states[0].has_fold_work() {
+            let at = self.shard_states[0].lane.now();
+            self.close_window(at, true);
+        } else {
+            self.close_window(boundary, false);
+        }
         true
     }
 
@@ -2368,8 +2253,9 @@ impl Cluster {
     /// serialized [`ControlState`]), as must windows that pushed the
     /// pending buffers past the flush threshold; everything else elides the
     /// fold entirely, which is what makes a barrier cost two lane peeks
-    /// instead of a serial walk over every shard.
-    fn close_window(&mut self, boundary: SimTime) {
+    /// instead of a serial walk over every shard. `fold_now` forces the
+    /// fold (a one-shard window that stopped on an output).
+    fn close_window(&mut self, boundary: SimTime, fold_now: bool) {
         for s in &self.shard_states {
             let t = s.lane.now();
             if t > self.clock {
@@ -2445,7 +2331,11 @@ impl Cluster {
         }
         self.last_boundary = boundary;
         let pending = self.pending_acks.len() + self.pending_dones.len() + self.fold_outputs.len();
-        if self.shared.config.eager_folds || ctrl_work || pending >= FOLD_FLUSH_THRESHOLD {
+        if fold_now
+            || self.shared.config.eager_folds
+            || ctrl_work
+            || pending >= FOLD_FLUSH_THRESHOLD
+        {
             self.fold(boundary);
         } else {
             self.sync.elided_barriers += 1;
@@ -2547,8 +2437,7 @@ impl Cluster {
                     self.ctrl.metrics.hints_dropped += 1;
                     // Dropped hints fall through to anti-entropy (no-op
                     // unless the mode enables sweeps).
-                    let now = self.clock;
-                    resume_sweeps_parts(&self.shared, &mut self.ctrl, None, now);
+                    self.resume_sweeps();
                 } else {
                     self.ctrl.hints[to.0 as usize].push_back(Hint {
                         from,
@@ -2574,7 +2463,7 @@ impl Cluster {
                 // time, floored at the boundary; the jitter draw comes from
                 // the control stream, the same stream the coordinator draw
                 // uses, so the fold stays a pure function of (seed, shards).
-                let coordinator = self.draw_coordinator_ctrl();
+                let coordinator = self.draw_coordinator();
                 let home = self.shared.shard_of(coordinator);
                 if backoff {
                     let delay = backoff_delay(
@@ -2587,7 +2476,7 @@ impl Cluster {
                     let s = &mut self.shard_states[home];
                     let op_id = s.ops.insert(OpState::Pending(PendingOp {
                         sub,
-                        coordinator: Some(coordinator),
+                        coordinator,
                         retry: Some(retry),
                     }));
                     s.lane.schedule_timeout(when, Event::ClientArrive { op_id });
@@ -2595,7 +2484,7 @@ impl Cluster {
                     let s = &mut self.shard_states[home];
                     let op_id = s.ops.insert(OpState::Pending(PendingOp {
                         sub,
-                        coordinator: Some(coordinator),
+                        coordinator,
                         retry: Some(retry),
                     }));
                     s.lane.schedule_at(boundary, Event::ClientArrive { op_id });
@@ -2607,42 +2496,19 @@ impl Cluster {
     // ------------------------------------------------------------------
     // Control-plane handlers (hint replay, anti-entropy, recovery sync)
     //
-    // These run serially — on the single lane in serial mode, at barrier
-    // edges in parallel mode — because they touch cluster-wide state
-    // (hint queues, sweep cursor, every node's store). Their metering and
-    // delay sampling route through `repair_message_delay`/`repair_bytes`:
-    // shard 0's RNG and metrics in serial mode (byte-identical to the
-    // pre-parallel engine), the control stream otherwise.
+    // These run serially, on the control lane at barrier edges, because
+    // they touch cluster-wide state (hint queues, sweep cursor, every
+    // node's store). Their metering and delay sampling use the control
+    // stream and sink.
     // ------------------------------------------------------------------
 
     fn repair_message_delay(&mut self, from: NodeId, to: NodeId, bytes: u32) -> SimDuration {
-        if self.serial() {
-            let s = &mut self.shard_states[0];
-            account_repair_message(&self.shared, &mut s.rng, &mut s.metrics, from, to, bytes)
-        } else {
-            account_repair_message(
-                &self.shared,
-                &mut self.ctrl.rng,
-                &mut self.ctrl.metrics,
-                from,
-                to,
-                bytes,
-            )
-        }
+        let c = &mut self.ctrl;
+        account_repair_message(&self.shared, &mut c.rng, &mut c.metrics, from, to, bytes)
     }
 
     fn repair_bytes(&mut self, from: NodeId, to: NodeId, bytes: u32) {
-        if self.serial() {
-            account_repair_bytes(
-                &self.shared,
-                &mut self.shard_states[0].metrics,
-                from,
-                to,
-                bytes,
-            );
-        } else {
-            account_repair_bytes(&self.shared, &mut self.ctrl.metrics, from, to, bytes);
-        }
+        account_repair_bytes(&self.shared, &mut self.ctrl.metrics, from, to, bytes);
     }
 
     /// Start (or restart) the timer-wheel-paced hint replay chain to `node`
@@ -2658,7 +2524,8 @@ impl Cluster {
         }
         self.ctrl.hint_replay_active[idx] = true;
         let at = self.clock + self.shared.config.repair.replay_interval();
-        self.ctrl_lane()
+        self.ctrl
+            .lane
             .schedule_timeout(at, Event::HintReplay { node });
     }
 
@@ -2676,7 +2543,7 @@ impl Cluster {
             self.ctrl.hint_replay_active[idx] = false;
             return;
         };
-        self.ctrl_metrics().hints_replayed += 1;
+        self.ctrl.metrics.hints_replayed += 1;
         let delay = self.repair_message_delay(hint.from, node, hint.size);
         if self.shared.link_up(hint.from, node) {
             // Control events run between windows: the repair write can be
@@ -2702,13 +2569,14 @@ impl Cluster {
         } else {
             // Lost in a partition like any other message; anti-entropy (if
             // enabled) reconciles the residue after the heal.
-            self.ctrl_metrics().messages_lost += 1;
+            self.ctrl.metrics.messages_lost += 1;
         }
         if self.ctrl.hints[idx].is_empty() {
             self.ctrl.hint_replay_active[idx] = false;
         } else {
             let at = now + self.shared.config.repair.replay_interval();
-            self.ctrl_lane()
+            self.ctrl
+                .lane
                 .schedule_timeout(at, Event::HintReplay { node });
         }
     }
@@ -2718,16 +2586,15 @@ impl Cluster {
     /// terminates `run_to_completion`); fault transitions call this to wake
     /// it up again. No-op unless the mode enables anti-entropy.
     fn resume_sweeps(&mut self) {
-        let now = self.clock;
-        if self.serial() {
-            resume_sweeps_parts(
-                &self.shared,
-                &mut self.ctrl,
-                Some(&mut self.shard_states[0].lane),
-                now,
-            );
-        } else {
-            resume_sweeps_parts(&self.shared, &mut self.ctrl, None, now);
+        let repair = &self.shared.config.repair;
+        if !repair.mode.anti_entropy_enabled() || self.shared.node_count < 2 {
+            return;
+        }
+        self.ctrl.sweep_idle_rounds = 0;
+        if !self.ctrl.sweep_active {
+            self.ctrl.sweep_active = true;
+            let at = self.clock + repair.sweep_interval();
+            self.ctrl.lane.schedule_timeout(at, Event::AntiEntropy);
         }
     }
 
@@ -2771,7 +2638,7 @@ impl Cluster {
             return;
         }
         let at = now + self.shared.config.repair.sweep_interval();
-        self.ctrl_lane().schedule_timeout(at, Event::AntiEntropy);
+        self.ctrl.lane.schedule_timeout(at, Event::AntiEntropy);
     }
 
     /// Compare every page summary of a node pair (metered as network bytes
@@ -2785,7 +2652,7 @@ impl Cluster {
         let summary_bytes = self.shared.config.repair.summary_bytes();
         let mut streamed = 0u64;
         for page in 0..pages {
-            self.ctrl_metrics().repair_pages_compared += 1;
+            self.ctrl.metrics.repair_pages_compared += 1;
             // One summary message each way per compared page.
             self.repair_bytes(a, b, summary_bytes);
             self.repair_bytes(b, a, summary_bytes);
@@ -2848,7 +2715,7 @@ impl Cluster {
             );
             streamed += 1;
         }
-        self.ctrl_metrics().repair_records_streamed += streamed;
+        self.ctrl.metrics.repair_records_streamed += streamed;
         self.ctrl.repair_page_scratch = records;
         self.ctrl.repair_member_scratch = members;
         streamed
@@ -2878,7 +2745,7 @@ impl Cluster {
                 .max(self.store(node).summary_pages());
             let summary_bytes = self.shared.config.repair.summary_bytes();
             for page in 0..pages {
-                self.ctrl_metrics().repair_pages_compared += 1;
+                self.ctrl.metrics.repair_pages_compared += 1;
                 self.repair_bytes(peer_id, node, summary_bytes);
                 if self.store(peer_id).page_digest(page) != self.store(node).page_digest(page) {
                     streamed += self.stream_page_diff(now, peer_id, node, page);
@@ -2892,24 +2759,17 @@ impl Cluster {
 }
 
 /// One shard's view of the cluster during event execution: the immutable
-/// shared plane, the shard's own mutable state, and — in serial mode only —
-/// the control plane. Handlers can touch nothing else, which is what makes
-/// the parallel windows data-race-free *and* schedule-independent: the
-/// borrow checker proves a handler's writes stay inside its own
-/// [`ShardState`], and everything cross-shard goes through the outbox.
-///
-/// `ctrl` doubles as the mode switch: `Some` on the single-shard engine
-/// (hint queues reachable inline, acks sampled at apply time — byte-for-byte
-/// the pre-sharding behaviour), `None` inside a parallel window (cross-shard
-/// effects staged for the fold).
+/// shared plane and the shard's own mutable state. Handlers can touch
+/// nothing else, which is what makes the parallel windows data-race-free
+/// *and* schedule-independent: the borrow checker proves a handler's writes
+/// stay inside its own [`ShardState`], and everything cross-shard or
+/// control-plane goes through the outboxes to the fold.
 struct ShardCtx<'a> {
     shared: &'a ClusterShared,
     s: &'a mut ShardState,
-    ctrl: Option<&'a mut ControlState>,
     /// End of the window being executed: staged cross-shard times are
     /// clamped here *at staging time* (a clamp means the lookahead bound
     /// was optimistic for the traffic observed — counted as a violation).
-    /// Unused in serial mode (the serial path never stages).
     boundary: SimTime,
 }
 
@@ -2934,11 +2794,11 @@ impl ShardCtx<'_> {
             } => self.on_read_response(now, op_id, from, version, size, records, segment),
             Event::OpTimeout { op_id } => self.on_timeout(now, op_id),
             Event::HedgeFire { op_id } => self.on_hedge_fire(now, op_id),
-            // Ticks normally ride the control lane; tolerate one here for
-            // totality (it folds into the output stream like a completion).
-            Event::Tick { id } => self.s.outputs.push(ClusterOutput::Tick { id, at: now }),
-            Event::HintReplay { .. } | Event::AntiEntropy | Event::RepairSync { .. } => {
-                unreachable!("repair-plane events run on the control lane")
+            Event::Tick { .. }
+            | Event::HintReplay { .. }
+            | Event::AntiEntropy
+            | Event::RepairSync { .. } => {
+                unreachable!("control events run on the control lane")
             }
         }
     }
@@ -3003,69 +2863,17 @@ impl ShardCtx<'_> {
         }
     }
 
-    fn pick_coordinator(&mut self) -> NodeId {
-        // Clients connect to a random live node (YCSB spreads connections
-        // round-robin; with many clients the effect is uniform).
-        if self.shared.down_count == 0 {
-            // Fast path: every node is up, so the up-node list is the
-            // identity — draw the index directly (same RNG consumption).
-            return NodeId(self.s.rng.index(self.shared.node_count) as u32);
-        }
-        let mut up = std::mem::take(&mut self.s.up_scratch);
-        up.clear();
-        up.extend(
-            self.shared
-                .config
-                .topology
-                .nodes()
-                .filter(|n| !self.shared.down[n.0 as usize]),
-        );
-        let pick = if up.is_empty() {
-            NodeId(0)
-        } else {
-            up[self.s.rng.index(up.len())]
-        };
-        self.s.up_scratch = up;
-        pick
-    }
-
     /// Queue a hinted-handoff mutation for a down replica. Hint queues are
-    /// control-plane state: reachable inline in serial mode, staged to the
-    /// fold from a parallel window.
-    fn queue_hint(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        key: Key,
-        version: Version,
-        size: u32,
-    ) {
-        let Some(ctrl) = self.ctrl.as_deref_mut() else {
-            self.s.window_staged += 1;
-            self.s.outbox_ctrl.push(CtrlStaged::Hint {
-                from,
-                to,
-                key,
-                version,
-                size,
-            });
-            return;
-        };
-        if ctrl.hints[to.0 as usize].len() >= self.shared.config.repair.hint_capacity() as usize {
-            self.s.metrics.hints_dropped += 1;
-            // Dropped hints fall through to anti-entropy (no-op unless the
-            // mode enables sweeps).
-            resume_sweeps_parts(self.shared, ctrl, Some(&mut self.s.lane), now);
-            return;
-        }
-        ctrl.hints[to.0 as usize].push_back(Hint {
+    /// control-plane state, so the hint is staged to the fold.
+    fn queue_hint(&mut self, from: NodeId, to: NodeId, key: Key, version: Version, size: u32) {
+        self.s.window_staged += 1;
+        self.s.outbox_ctrl.push(CtrlStaged::Hint {
             from,
+            to,
             key,
             version,
             size,
         });
-        self.s.metrics.hints_queued += 1;
     }
 
     fn on_client_arrive(&mut self, now: SimTime, op_id: OpId) {
@@ -3078,23 +2886,24 @@ impl ShardCtx<'_> {
             retries_left: self.shared.config.retry_on_timeout,
             client_id: op_id,
         });
-        if let Some(c) = p.coordinator {
-            if self.shared.down[c.0 as usize] {
-                // The pre-routed coordinator went down between routing and
-                // arrival: re-route through the fold (fresh draw among the
-                // up nodes). No retry budget is consumed — the client never
-                // reached a coordinator — and no backoff applies (this is
-                // re-routing, not a timed-out attempt).
-                self.s.ops.remove(op_id);
-                self.s.window_staged += 1;
-                self.s.outbox_ctrl.push(CtrlStaged::Resubmit {
-                    sub: p.sub,
-                    retry,
-                    at: now,
-                    backoff: false,
-                });
-                return;
-            }
+        let all_down = self.shared.down_count as usize == self.shared.node_count;
+        if self.shared.down[p.coordinator.0 as usize] && !all_down {
+            // The pre-routed coordinator went down between routing and
+            // arrival: re-route through the fold (fresh draw among the up
+            // nodes). No retry budget is consumed — the client never
+            // reached a coordinator — and no backoff applies (this is
+            // re-routing, not a timed-out attempt). With every node down
+            // there is nowhere to re-route to, so the attempt runs against
+            // the dead cluster and times out.
+            self.s.ops.remove(op_id);
+            self.s.window_staged += 1;
+            self.s.outbox_ctrl.push(CtrlStaged::Resubmit {
+                sub: p.sub,
+                retry,
+                at: now,
+                backoff: false,
+            });
+            return;
         }
         match p.sub.kind {
             OpKind::Write => self.start_write(now, op_id, p.sub, p.coordinator, retry),
@@ -3102,10 +2911,8 @@ impl ShardCtx<'_> {
         }
     }
 
-    /// Issue a write attempt. `coordinator` is the pre-routed coordinator
-    /// (parallel engine) or `None` to draw one now from this shard's stream
-    /// (serial engine — the pre-sharding behaviour). `retry` carries the
-    /// client-visible submission time, the remaining budget and the id
+    /// Issue a write attempt through its pre-routed `coordinator`. `retry`
+    /// carries the client-visible submission time, the remaining budget and the id
     /// `submit_*` handed out, which differ from `now`/`op_id` for retried
     /// attempts so latency spans every attempt and completions keep the
     /// submitted id.
@@ -3114,17 +2921,12 @@ impl ShardCtx<'_> {
         now: SimTime,
         op_id: OpId,
         sub: Submission,
-        coordinator: Option<NodeId>,
+        coordinator: NodeId,
         retry: RetryCtx,
     ) {
-        let coordinator = coordinator.unwrap_or_else(|| self.pick_coordinator());
         let level = sub.level.unwrap_or(self.shared.write_level);
         let required_acks = self.shared.config.required_acks(level);
-        let version = if self.ctrl.is_some() {
-            self.s.alloc_version_serial()
-        } else {
-            self.s.alloc_version_at(now)
-        };
+        let version = self.s.alloc_version_at(now);
         let mut replicas = std::mem::take(&mut self.s.replica_scratch);
         self.s
             .replica_cache
@@ -3151,7 +2953,7 @@ impl ShardCtx<'_> {
                 // handoff the coordinator queues a bounded hint to replay
                 // once the node is back up.
                 if self.shared.config.repair.mode.hints_enabled() {
-                    self.queue_hint(now, coordinator, replica, sub.key, version, sub.size);
+                    self.queue_hint(coordinator, replica, sub.key, version, sub.size);
                 }
                 continue;
             }
@@ -3188,11 +2990,9 @@ impl ShardCtx<'_> {
             *state = OpState::Write(WriteState {
                 key: sub.key,
                 version,
-                coordinator,
                 issued_at: retry.issued_at,
                 required_acks,
                 acks: 0,
-                applied: 0,
                 targeted,
                 completed: false,
                 level_used: required_acks,
@@ -3229,20 +3029,11 @@ impl ShardCtx<'_> {
         now: SimTime,
         op_id: OpId,
         sub: Submission,
-        coordinator: Option<NodeId>,
+        coordinator: NodeId,
         retry: RetryCtx,
     ) {
-        let coordinator = coordinator.unwrap_or_else(|| self.pick_coordinator());
         let level = sub.level.unwrap_or(self.shared.read_level);
         let required = self.shared.config.required_acks(level);
-        // Serial: capture the freshness expectation inline, exactly as the
-        // pre-sharding engine did. Parallel: the oracle is untouchable
-        // inside a window; the completion fold resolves the expectation
-        // retroactively as of `now` (stored in `attempt_at` below).
-        let expected_version = match self.ctrl.as_deref() {
-            Some(ctrl) => ctrl.oracle.expected_version(sub.key),
-            None => Version::NONE,
-        };
         // Ownership-boundary segmentation (ordered scans only; everything
         // else is a single segment covering the whole range).
         let scan_len = sub.scan_len.max(1);
@@ -3324,7 +3115,6 @@ impl ShardCtx<'_> {
                 best_version: Version::NONE,
                 best_size: 0,
                 min_version: Version(u64::MAX),
-                expected_version,
                 attempt_at: now,
                 contacted,
                 level: sub.level,
@@ -3597,132 +3387,52 @@ impl ShardCtx<'_> {
                     version,
                     size,
                     repair,
-                    coordinator: coordinator_packed,
+                    coordinator,
                 } = self.s.release_payload(payload);
                 self.s.stores[idx].apply_write(key, version, size, now);
                 self.s.metrics.storage_write_ops += 1;
                 if repair {
                     return; // background repair: no coordinator ack
                 }
-                if self.ctrl.is_some() {
-                    // Serial engine: the op state is at hand, so track
-                    // propagation at apply time — byte-identical to the
-                    // pre-sharding behaviour.
-                    let info = match self.s.ops.get_mut(op_id) {
-                        Some(OpState::Write(w)) => {
-                            w.applied += 1;
-                            Some((w.coordinator, w.applied, w.targeted, w.issued_at))
-                        }
-                        _ => None,
-                    };
-                    let Some((coordinator, applied, targeted, issued_at)) = info else {
-                        return;
-                    };
-                    // The ring always yields exactly RF distinct replicas,
-                    // so the full-propagation check needs no ring walk.
-                    let rf = self.shared.ring.replication_factor();
-                    if applied == targeted && targeted == rf {
-                        let d = now - issued_at;
-                        self.s.metrics.propagation.record(d);
-                        self.s.propagation.push(d);
-                    }
-                    // Send the ack back to the coordinator.
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(
-                            node,
-                            coordinator,
-                            self.shared.config.small_message_bytes,
-                        ),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        // The ack is lost in the partition: the coordinator
-                        // will never hear from this replica, so stop
-                        // expecting it — otherwise the op's state could
-                        // never be reclaimed.
-                        self.s.metrics.messages_lost += 1;
-                        abandon_in(self.s, op_id);
-                        return;
-                    }
-                    self.s.lane.schedule_at(
-                        now + delay,
-                        Event::CoordinatorWriteAck {
-                            op_id,
-                            from: node,
-                            applied_at: now,
-                        },
-                    );
-                } else if self.op_home(op_id) == self.s.shard {
-                    // Parallel engine, home-local apply: the op state is
-                    // readable, but propagation is tracked ack-side (from
-                    // `applied_at` maxima) so local and remote replicas
-                    // contribute identically.
-                    let coordinator = match self.s.ops.get(op_id) {
-                        Some(OpState::Write(w)) => w.coordinator,
-                        _ => return,
-                    };
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(
-                            node,
-                            coordinator,
-                            self.shared.config.small_message_bytes,
-                        ),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        self.s.metrics.messages_lost += 1;
-                        abandon_in(self.s, op_id);
-                        return;
-                    }
-                    self.s.lane.schedule_at(
-                        now + delay,
-                        Event::CoordinatorWriteAck {
-                            op_id,
-                            from: node,
-                            applied_at: now,
-                        },
-                    );
-                } else {
-                    let coordinator = NodeId(coordinator_packed as u32);
-                    // Foreign op: the home shard's op state is unreadable
-                    // from here, but the payload carries the coordinator,
-                    // so the ack's delay is sampled and its traffic metered
-                    // on *this* shard's stream at apply time — sender-side
-                    // draws leave the barrier fold with no RNG demand,
-                    // which is what lets quiet windows elide it. The op may
-                    // already be dead (a timeout retry freed the slot); the
-                    // generation-checked id makes the ack a no-op at the
-                    // coordinator, so drawing unconditionally is both safe
-                    // and deterministic.
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(
-                            node,
-                            coordinator,
-                            self.shared.config.small_message_bytes,
-                        ),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        // The ack is lost in the partition: tell the home
-                        // shard to stop expecting it.
-                        self.s.metrics.messages_lost += 1;
-                        self.abandon(op_id);
-                        return;
-                    }
-                    let home = self.op_home(op_id) as usize;
-                    self.send_event(
-                        home,
-                        now + delay,
-                        Event::CoordinatorWriteAck {
-                            op_id,
-                            from: node,
-                            applied_at: now,
-                        },
-                    );
+                let home = self.op_home(op_id);
+                if home == self.s.shard && !matches!(self.s.ops.get(op_id), Some(OpState::Write(_)))
+                {
+                    return; // home-local op already gone: nobody to ack
                 }
+                // The payload carries the coordinator, so the ack's delay is
+                // sampled and its traffic metered on *this* shard's stream at
+                // apply time, even for an op homed elsewhere — sender-side
+                // draws leave the barrier fold with no RNG demand, which is
+                // what lets quiet windows elide it. A foreign op may already
+                // be dead (a timeout retry freed the slot); the
+                // generation-checked id makes the ack a no-op at the
+                // coordinator, so drawing unconditionally is both safe and
+                // deterministic. Propagation is tracked ack-side (from
+                // `applied_at` maxima), so local and remote replicas
+                // contribute identically.
+                let coordinator = NodeId(coordinator as u32);
+                let delay = slow_response(
+                    self.shared,
+                    node,
+                    self.account_message(node, coordinator, self.shared.config.small_message_bytes),
+                );
+                if !self.shared.link_up(node, coordinator) {
+                    // The ack is lost in the partition: the coordinator will
+                    // never hear from this replica, so stop expecting it —
+                    // otherwise the op's state could never be reclaimed.
+                    self.s.metrics.messages_lost += 1;
+                    self.abandon(op_id);
+                    return;
+                }
+                self.send_event(
+                    home as usize,
+                    now + delay,
+                    Event::CoordinatorWriteAck {
+                        op_id,
+                        from: node,
+                        applied_at: now,
+                    },
+                );
             }
             ReplicaTask::Read {
                 op_id,
@@ -3730,7 +3440,7 @@ impl ShardCtx<'_> {
                 data,
                 len,
                 segment,
-                coordinator: coordinator_packed,
+                coordinator,
             } => {
                 let len = len as u32;
                 // Point reads probe one slot; range scans stream `len`
@@ -3761,106 +3471,68 @@ impl ShardCtx<'_> {
                         range.records,
                     )
                 };
-                if self.ctrl.is_some() || self.op_home(op_id) == self.s.shard {
-                    let coordinator = match self.s.ops.get(op_id) {
-                        Some(OpState::Read(r)) => r.coordinator,
-                        _ => return,
-                    };
-                    let payload = if data {
-                        size
-                    } else {
-                        self.shared.config.small_message_bytes
-                    };
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(node, coordinator, payload),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        // Response lost in the partition; the read completes
-                        // via other replicas or times out.
-                        self.s.metrics.messages_lost += 1;
-                        return;
-                    }
-                    self.s.lane.schedule_at(
-                        now + delay,
-                        Event::CoordinatorReadResponse {
-                            op_id,
-                            from: node,
-                            version,
-                            size,
-                            // Digests answer with a checksum, not records:
-                            // only the data response contributes coverage.
-                            records: if data { records } else { 0 },
-                            segment,
-                        },
-                    );
-                } else {
-                    let coordinator = NodeId(coordinator_packed as u32);
-                    // Foreign op: sender-side draw, same rationale as the
-                    // write-ack branch above — the task carries the
-                    // coordinator, so delay sampling, metering and the
-                    // data/digest payload gating all happen on this shard's
-                    // stream, and a dead op's response dies at the
-                    // coordinator's generation check.
-                    let payload = if data {
-                        size
-                    } else {
-                        self.shared.config.small_message_bytes
-                    };
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(node, coordinator, payload),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        // Response lost in the partition; the read completes
-                        // via other replicas or times out.
-                        self.s.metrics.messages_lost += 1;
-                        return;
-                    }
-                    let home = self.op_home(op_id) as usize;
-                    self.send_event(
-                        home,
-                        now + delay,
-                        Event::CoordinatorReadResponse {
-                            op_id,
-                            from: node,
-                            version,
-                            size,
-                            // Digests answer with a checksum, not records:
-                            // only the data response contributes coverage.
-                            records: if data { records } else { 0 },
-                            segment,
-                        },
-                    );
+                let home = self.op_home(op_id);
+                if home == self.s.shard && !matches!(self.s.ops.get(op_id), Some(OpState::Read(_)))
+                {
+                    return; // home-local op already gone: nobody to answer
                 }
+                // Sender-side draw, same rationale as the write-ack arm: the
+                // task carries the coordinator, so delay sampling, metering
+                // and the data/digest payload gating all happen on this
+                // shard's stream, and a dead foreign op's response dies at
+                // the coordinator's generation check.
+                let coordinator = NodeId(coordinator as u32);
+                let payload = if data {
+                    size
+                } else {
+                    self.shared.config.small_message_bytes
+                };
+                let delay = slow_response(
+                    self.shared,
+                    node,
+                    self.account_message(node, coordinator, payload),
+                );
+                if !self.shared.link_up(node, coordinator) {
+                    // Response lost in the partition; the read completes
+                    // via other replicas or times out.
+                    self.s.metrics.messages_lost += 1;
+                    return;
+                }
+                self.send_event(
+                    home as usize,
+                    now + delay,
+                    Event::CoordinatorReadResponse {
+                        op_id,
+                        from: node,
+                        version,
+                        size,
+                        // Digests answer with a checksum, not records: only
+                        // the data response contributes coverage.
+                        records: if data { records } else { 0 },
+                        segment,
+                    },
+                );
             }
         }
     }
 
     fn on_write_ack(&mut self, now: SimTime, op_id: OpId, _from: NodeId, applied_at: SimTime) {
-        let serial = self.ctrl.is_some();
         let rf = self.shared.ring.replication_factor();
         let s = &mut *self.s;
         let Some(OpState::Write(w)) = s.ops.get_mut(op_id) else {
             return;
         };
         w.acks += 1;
-        if !serial {
-            // Parallel engine: the propagation sample is derived from the
-            // acks themselves — the latest reported apply time once every
-            // targeted replica (the full RF) has answered. Serial mode
-            // samples at apply time instead (see on_replica_done) and never
-            // touches `max_applied_at`.
-            if applied_at > w.max_applied_at {
-                w.max_applied_at = applied_at;
-            }
-            if w.acks == w.targeted && w.targeted == rf {
-                let d = w.max_applied_at - w.issued_at;
-                s.metrics.propagation.record(d);
-                s.propagation.push(d);
-            }
+        // The propagation sample is derived from the acks themselves: the
+        // latest reported apply time once every targeted replica (the full
+        // RF) has answered.
+        if applied_at > w.max_applied_at {
+            w.max_applied_at = applied_at;
+        }
+        if w.acks == w.targeted && w.targeted == rf {
+            let d = w.max_applied_at - w.issued_at;
+            s.metrics.propagation.record(d);
+            s.propagation.push(d);
         }
         if !w.completed && w.acks >= w.required_acks {
             w.completed = true;
@@ -3877,18 +3549,11 @@ impl ShardCtx<'_> {
                 staleness_depth: 0,
                 records_returned: 0,
             };
-            // The ack becomes ground truth for later reads: inline on the
-            // serial engine (same call order as the pre-sharding code),
-            // staged to the fold from a parallel window (the central
-            // oracle is frozen while windows run) with its true ack time,
-            // which retroactive classification queries filter by.
-            match self.ctrl.as_deref_mut() {
-                Some(ctrl) => ctrl.oracle.record_ack(w.key, w.version, now),
-                None => {
-                    s.window_staged += 1;
-                    s.outbox_acks.push((w.key, w.version, now));
-                }
-            }
+            // The ack becomes ground truth for later reads: staged to the
+            // fold (the central oracle is frozen while windows run) with its
+            // true ack time, which retroactive classification filters by.
+            s.window_staged += 1;
+            s.outbox_acks.push((w.key, w.version, now));
             s.metrics
                 .record_completion(OpKind::Write, completed.latency(), false);
             s.outputs.push(ClusterOutput::Completed(completed));
@@ -3976,7 +3641,6 @@ impl ShardCtx<'_> {
                 unreachable!("state was just borrowed");
             };
             let key = r.key;
-            let expected = r.expected_version;
             let best = r.best_version;
             let issued_at = r.issued_at;
             let attempt_at = r.attempt_at;
@@ -3997,7 +3661,7 @@ impl ShardCtx<'_> {
             let needs_repair =
                 self.shared.config.read_repair && r.min_version < best && r.scan_len == 1;
 
-            let mut completed = CompletedOp {
+            let completed = CompletedOp {
                 id: r.client_id,
                 kind: OpKind::Read,
                 key,
@@ -4010,29 +3674,12 @@ impl ShardCtx<'_> {
                 staleness_depth: 0,
                 records_returned,
             };
-            // Serial: classify against (and count in) the central oracle
-            // inline, byte-identical to the pre-sharding call. Parallel:
-            // the classification needs the serialized ack history, so the
+            // The classification needs the serialized ack history, so the
             // completion (classification, metric, client output) finishes
             // at this window's fold — read repair below is
             // oracle-independent and stays in-window.
-            match self.ctrl.as_deref_mut() {
-                Some(ctrl) => {
-                    let class = ctrl.oracle.classify_read(key, expected, best);
-                    completed.stale = class.stale;
-                    completed.staleness_depth = class.depth;
-                    self.s.metrics.record_completion(
-                        OpKind::Read,
-                        completed.latency(),
-                        class.stale,
-                    );
-                    self.s.outputs.push(ClusterOutput::Completed(completed));
-                }
-                None => {
-                    self.s.window_staged += 1;
-                    self.s.outbox_dones.push((completed, attempt_at));
-                }
-            }
+            self.s.window_staged += 1;
+            self.s.outbox_dones.push((completed, attempt_at));
 
             if needs_repair {
                 // Push the freshest version back to the contacted replicas
@@ -4154,61 +3801,23 @@ impl ShardCtx<'_> {
                 retries_left,
                 client_id,
             };
+            // The fresh coordinator may live on any shard, so the attempt
+            // re-routes through the fold — drawn from the control stream and
+            // re-homed on the coordinator's shard, like a brand-new
+            // submission. With backoff on, the fold delays the re-arrival
+            // past the window boundary by the jittered amount
+            // (control-stream draw).
             let backoff = self.shared.config.resilience.backoff;
-            if self.ctrl.is_some() {
-                if backoff {
-                    // Backoff on: park the attempt as a Pending op and
-                    // re-arrive it after an exponentially growing, jittered
-                    // delay (drawn from this shard's stream — one draw per
-                    // backed-off retry, zero when the feature is off). The
-                    // delays are heterogeneous by construction, so they
-                    // route through the timer wheel, not the sorted FIFO.
-                    self.s.metrics.backoff_retries += 1;
-                    let delay = backoff_delay(
-                        &self.shared.config.resilience,
-                        self.shared.config.retry_on_timeout,
-                        retries_left,
-                        &mut self.s.rng,
-                    );
-                    let new_id = self.s.ops.insert(OpState::Pending(PendingOp {
-                        sub,
-                        coordinator: None,
-                        retry: Some(retry),
-                    }));
-                    self.s
-                        .lane
-                        .schedule_timeout(now + delay, Event::ClientArrive { op_id: new_id });
-                } else {
-                    // Serial engine: re-issue inline with a fresh coordinator
-                    // drawn at this instant — the pre-sharding behaviour.
-                    let new_id = self.s.ops.insert(OpState::Pending(PendingOp {
-                        sub,
-                        coordinator: None,
-                        retry: None,
-                    }));
-                    match sub.kind {
-                        OpKind::Write => self.start_write(now, new_id, sub, None, retry),
-                        OpKind::Read => self.start_read(now, new_id, sub, None, retry),
-                    }
-                }
-            } else {
-                // Parallel engine: the fresh coordinator may live on any
-                // shard, so the attempt re-routes through the fold — drawn
-                // from the control stream and re-homed on the coordinator's
-                // shard, like a brand-new submission. With backoff on, the
-                // fold delays the re-arrival past the window boundary by the
-                // jittered amount (control-stream draw).
-                if backoff {
-                    self.s.metrics.backoff_retries += 1;
-                }
-                self.s.window_staged += 1;
-                self.s.outbox_ctrl.push(CtrlStaged::Resubmit {
-                    sub,
-                    retry,
-                    at: now,
-                    backoff,
-                });
+            if backoff {
+                self.s.metrics.backoff_retries += 1;
             }
+            self.s.window_staged += 1;
+            self.s.outbox_ctrl.push(CtrlStaged::Resubmit {
+                sub,
+                retry,
+                at: now,
+                backoff,
+            });
             return;
         }
         match self.s.ops.get_mut(op_id) {

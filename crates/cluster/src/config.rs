@@ -340,9 +340,8 @@ pub struct ClusterConfig {
     /// byte-identical at any worker-thread count** — the golden-digest tests
     /// pin one digest per shard count and the thread-matrix tests assert
     /// thread invariance. 1 (and, for backward compatibility of serialized
-    /// configs, an absent field deserializing to 0) means the sequential
-    /// engine, byte-identical to the pre-sharding goldens; values above the
-    /// node count are clamped to it.
+    /// configs, an absent field deserializing to 0) runs the same windowed
+    /// engine on one shard; values above the node count are clamped to it.
     #[serde(default)]
     pub shards: u32,
     /// Force a serial barrier fold at *every* lookahead window instead of
@@ -352,7 +351,9 @@ pub struct ClusterConfig {
     /// the knob on and off — so this exists for A/B measurement of fold
     /// overhead and as a bisection aid, not as a correctness escape hatch.
     /// Defaults to `false` (elision on); absent in pre-PR-10 serialized
-    /// configs via `serde(default)`. Ignored by the serial engine.
+    /// configs via `serde(default)`. A one-shard window that ends on an
+    /// output folds regardless, so at one shard this only adds folds to the
+    /// windows that end at their lookahead bound.
     #[serde(default)]
     pub eager_folds: bool,
 }
@@ -394,7 +395,7 @@ impl ClusterConfig {
     }
 
     /// Effective shard count for this config's topology: 0 (an absent field
-    /// in a pre-sharding serialized config) and 1 both mean unsharded, and
+    /// in a pre-sharding serialized config) and 1 both mean one shard, and
     /// values above the node count clamp to it (an empty shard could never
     /// receive an event, so granting it a lane would be pure overhead).
     pub fn effective_shards(&self) -> usize {

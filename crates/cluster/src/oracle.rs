@@ -11,9 +11,8 @@
 //!
 //! Like [`ReplicaStore`](crate::ReplicaStore), the per-key state lives in
 //! the shared [`PagedTable`] over the dense record-id space instead of a
-//! hash map: `expected_version` / `record_ack` / `classify_read` run once
-//! per simulated operation, and with direct indexing each is a shift, a
-//! mask and a load. Each slot keeps the binary-searched bounded version
+//! hash map: `record_ack` / `classify_read_at` run once per simulated
+//! operation, and with direct indexing each is a shift, a mask and a load. Each slot keeps the binary-searched bounded version
 //! history that staleness *depth* is computed from; vacancy is this table's
 //! own convention (`acked_writes == 0`), per the [`PagedTable`] contract.
 
@@ -31,21 +30,19 @@ const DEPTH_HISTORY: usize = 64;
 /// is vacant (the key was never preloaded nor acknowledged).
 #[derive(Debug, Clone, Default)]
 struct KeyHistory {
-    /// Latest acknowledged version.
-    latest_acked: Version,
     /// Number of acknowledged writes so far (used for staleness depth).
     acked_writes: u64,
     /// Recent (version, ack index, ack time) triples, newest at the back;
     /// bounded to [`DEPTH_HISTORY`] entries. The ack time lets
     /// [`StalenessOracle::expected_version_at`] answer "what was the newest
-    /// acknowledged version at instant `t`" retroactively — the parallel
-    /// sharded engine records acks at window folds and classifies each read
-    /// against its own issue instant, so classification does not depend on
-    /// which fold recorded which ack.
+    /// acknowledged version at instant `t`" retroactively — the cluster
+    /// records acks at window folds and classifies each read against its
+    /// own issue instant, so classification does not depend on which fold
+    /// recorded which ack.
     version_order: VecDeque<(Version, u64, SimTime)>,
     /// Whether `version_order` is sorted by version. Acks almost always
-    /// arrive in version order (the global version counter is assigned at
-    /// write start and acknowledgements follow in simulation-time order), so
+    /// arrive in version order (versions are timestamp-packed at write
+    /// start and acknowledgements follow in simulation-time order), so
     /// depth lookups can binary-search; a rare out-of-order ack of two
     /// overlapping writes flips this and falls back to the linear scan.
     unsorted: bool,
@@ -148,45 +145,33 @@ impl StalenessOracle {
     /// at time zero so every retroactive query sees it.
     pub fn preload(&mut self, key: Key, version: Version) {
         let h = self.slot_mut(key);
-        h.latest_acked = h.latest_acked.max(version);
         h.acked_writes += 1;
         let idx = h.acked_writes;
         h.push_version(version, idx, SimTime::ZERO);
     }
 
     /// Record that a write of `version` to `key` satisfied its consistency
-    /// level (i.e. was acknowledged to the client) at `at`. The serial
-    /// engine calls this inline, in simulation-time order; the parallel
-    /// engine calls it at window folds, where acks from one window land in
-    /// fixed shard order carrying their true ack times (within one fold the
-    /// times may interleave across shards, which is why retroactive queries
-    /// go by the stored time, not the record order).
+    /// level (i.e. was acknowledged to the client) at `at`. The cluster
+    /// calls this at window folds, where acks from one window land in fixed
+    /// shard order carrying their true ack times (within one fold the times
+    /// may interleave across shards, which is why retroactive queries go by
+    /// the stored time, not the record order).
     pub fn record_ack(&mut self, key: Key, version: Version, at: SimTime) {
         let h = self.slot_mut(key);
         h.acked_writes += 1;
         let idx = h.acked_writes;
         h.push_version(version, idx, at);
-        if version > h.latest_acked {
-            h.latest_acked = version;
-        }
-    }
-
-    /// The latest acknowledged version of `key` right now. A read captures
-    /// this at issue time as its freshness requirement.
-    pub fn expected_version(&self, key: Key) -> Version {
-        self.slot(key)
-            .map(|h| h.latest_acked)
-            .unwrap_or(Version::NONE)
     }
 
     /// The newest version of `key` acknowledged strictly before instant
-    /// `at` — [`StalenessOracle::expected_version`] evaluated retroactively
-    /// from the bounded history. The parallel engine records acks at window
-    /// folds, so by the fold that completes a read, every ack that precedes
-    /// the read's issue instant is in the history (an ack lands at the fold
-    /// of the window containing its ack time, and the issue instant is
-    /// never later than the completing window's end); acks recorded after
-    /// the issue instant are filtered out here by their stored times.
+    /// `at`, evaluated retroactively from the bounded history — a read's
+    /// freshness requirement as of its issue instant. The cluster records
+    /// acks at window folds, so by the fold that completes a read, every
+    /// ack that precedes the read's issue instant is in the history (an ack
+    /// lands at the fold of the window containing its ack time, and the
+    /// issue instant is never later than the completing window's end); acks
+    /// recorded after the issue instant are filtered out here by their
+    /// stored times.
     ///
     /// Saturation: if every *retained* entry is newer than `at` but older
     /// entries were dropped ([`DEPTH_HISTORY`] acks on one key while a read
@@ -220,10 +205,14 @@ impl StalenessOracle {
         }
     }
 
-    /// Classify a read without touching any counter: a pure function of the
-    /// version history. [`StalenessOracle::classify_read`] layers the
-    /// stale/fresh accounting on top.
-    pub fn probe(&self, key: Key, expected: Version, returned: Version) -> ReadClassification {
+    /// Classify a completed read that was issued when `expected` was the
+    /// newest acknowledged version and returned `returned`, and count it.
+    fn classify_read(
+        &mut self,
+        key: Key,
+        expected: Version,
+        returned: Version,
+    ) -> ReadClassification {
         let stale = returned < expected;
         let depth = if !stale {
             0
@@ -237,32 +226,21 @@ impl StalenessOracle {
                 }
             }
         };
-        ReadClassification { stale, depth }
-    }
-
-    /// Classify a completed read: it was issued when `expected` was the
-    /// newest acknowledged version and returned `returned`.
-    pub fn classify_read(
-        &mut self,
-        key: Key,
-        expected: Version,
-        returned: Version,
-    ) -> ReadClassification {
-        let c = self.probe(key, expected, returned);
-        if c.stale {
+        if stale {
             self.stale_reads += 1;
-            self.stale_depth_sum += c.depth as u64;
+            self.stale_depth_sum += depth as u64;
         } else {
             self.fresh_reads += 1;
         }
-        c
+        ReadClassification { stale, depth }
     }
 
     /// Classify a read issued at `issued_at` that returned `returned`,
     /// resolving the freshness expectation retroactively via
-    /// [`StalenessOracle::expected_version_at`]. The parallel engine's
-    /// fold-time completion path: it yields the same stale/fresh decision a
-    /// serial execution of the same event trace would make at issue time.
+    /// [`StalenessOracle::expected_version_at`], and count it. The
+    /// cluster's fold-time completion path: it yields the same stale/fresh
+    /// decision an inline check at issue time would make on the same event
+    /// trace.
     pub fn classify_read_at(
         &mut self,
         key: Key,
@@ -307,9 +285,9 @@ impl StalenessOracle {
         self.keys
     }
 
-    /// Snapshot this oracle's aggregate counters. Both engines keep one
-    /// central oracle (the parallel engine mutates it only at barrier
-    /// folds), so this snapshot is the whole cross-shard view.
+    /// Snapshot this oracle's aggregate counters. The cluster keeps one
+    /// central oracle (mutated only at barrier folds), so this snapshot is
+    /// the whole cross-shard view.
     pub fn stats(&self) -> OracleStats {
         OracleStats {
             stale_reads: self.stale_reads,
@@ -381,12 +359,14 @@ mod tests {
     use super::*;
     use crate::paged::PAGE_SLOTS;
 
+    /// An instant after every ack the tests below record at time zero.
+    const LATER: SimTime = SimTime::from_micros(1);
+
     #[test]
     fn fresh_reads_are_not_stale() {
         let mut o = StalenessOracle::new();
         o.record_ack(Key(1), Version(5), SimTime::ZERO);
-        let expected = o.expected_version(Key(1));
-        let c = o.classify_read(Key(1), expected, Version(5));
+        let c = o.classify_read_at(Key(1), LATER, Version(5));
         assert!(!c.stale);
         assert_eq!(c.depth, 0);
         assert_eq!(o.stale_rate(), 0.0);
@@ -397,9 +377,8 @@ mod tests {
         let mut o = StalenessOracle::new();
         o.record_ack(Key(1), Version(5), SimTime::ZERO);
         o.record_ack(Key(1), Version(9), SimTime::ZERO);
-        let expected = o.expected_version(Key(1));
-        assert_eq!(expected, Version(9));
-        let c = o.classify_read(Key(1), expected, Version(5));
+        assert_eq!(o.expected_version_at(Key(1), LATER), Version(9));
+        let c = o.classify_read_at(Key(1), LATER, Version(5));
         assert!(c.stale);
         assert_eq!(c.depth, 1, "one acknowledged write behind");
         assert_eq!(o.stale_reads(), 1);
@@ -412,7 +391,7 @@ mod tests {
         for v in 1..=5u64 {
             o.record_ack(Key(1), Version(v), SimTime::ZERO);
         }
-        let c = o.classify_read(Key(1), Version(5), Version(2));
+        let c = o.classify_read_at(Key(1), LATER, Version(2));
         assert!(c.stale);
         assert_eq!(c.depth, 3);
         assert_eq!(o.mean_staleness_depth(), 3.0);
@@ -423,18 +402,17 @@ mod tests {
         // A read may see a write that was acknowledged *after* the read was
         // issued; that is not stale.
         let mut o = StalenessOracle::new();
-        o.record_ack(Key(1), Version(3), SimTime::ZERO);
-        let expected = o.expected_version(Key(1));
-        o.record_ack(Key(1), Version(7), SimTime::ZERO);
-        let c = o.classify_read(Key(1), expected, Version(7));
+        o.record_ack(Key(1), Version(3), SimTime::from_micros(100));
+        o.record_ack(Key(1), Version(7), SimTime::from_micros(200));
+        let c = o.classify_read_at(Key(1), SimTime::from_micros(150), Version(7));
         assert!(!c.stale);
     }
 
     #[test]
     fn unknown_keys_have_no_expectation() {
         let mut o = StalenessOracle::new();
-        assert_eq!(o.expected_version(Key(99)), Version::NONE);
-        let c = o.classify_read(Key(99), Version::NONE, Version::NONE);
+        assert_eq!(o.expected_version_at(Key(99), LATER), Version::NONE);
+        let c = o.classify_read_at(Key(99), LATER, Version::NONE);
         assert!(!c.stale);
         assert_eq!(o.fresh_reads(), 1);
     }
@@ -443,10 +421,11 @@ mod tests {
     fn preload_sets_baseline() {
         let mut o = StalenessOracle::new();
         o.preload(Key(1), Version(1));
-        assert_eq!(o.expected_version(Key(1)), Version(1));
+        assert_eq!(o.expected_version_at(Key(1), LATER), Version(1));
         assert_eq!(o.key_count(), 1);
         // Reading the preloaded version is fresh; missing it is stale.
-        let c = o.classify_read(Key(1), Version(1), Version::NONE);
+        assert!(!o.classify_read_at(Key(1), LATER, Version(1)).stale);
+        let c = o.classify_read_at(Key(1), LATER, Version::NONE);
         assert!(c.stale);
     }
 
@@ -454,15 +433,16 @@ mod tests {
     fn out_of_order_acks_keep_exact_depths() {
         // Two overlapping writes acknowledged out of version order: the
         // binary-search fast path must detect the inversion and fall back to
-        // the exact linear scan.
+        // the exact linear scan. Ack times pick which acks a read sees: at
+        // 25 µs the newest visible version is 7, at 35 µs it is 9.
         let mut o = StalenessOracle::new();
-        o.record_ack(Key(1), Version(5), SimTime::ZERO);
-        o.record_ack(Key(1), Version(9), SimTime::ZERO);
-        o.record_ack(Key(1), Version(7), SimTime::ZERO);
-        let c = o.classify_read(Key(1), Version(9), Version(5));
+        o.record_ack(Key(1), Version(5), SimTime::from_micros(10));
+        o.record_ack(Key(1), Version(9), SimTime::from_micros(30));
+        o.record_ack(Key(1), Version(7), SimTime::from_micros(20));
+        let c = o.classify_read_at(Key(1), SimTime::from_micros(35), Version(5));
         assert!(c.stale);
         assert_eq!(c.depth, 1, "idx(9)=2 minus idx(5)=1");
-        let c = o.classify_read(Key(1), Version(7), Version(5));
+        let c = o.classify_read_at(Key(1), SimTime::from_micros(25), Version(5));
         assert!(c.stale);
         assert_eq!(c.depth, 2, "idx(7)=3 minus idx(5)=1");
     }
@@ -473,7 +453,7 @@ mod tests {
         for v in 1..=64u64 {
             o.record_ack(Key(1), Version(v), SimTime::ZERO);
         }
-        let c = o.classify_read(Key(1), Version(64), Version(2));
+        let c = o.classify_read_at(Key(1), LATER, Version(2));
         assert!(c.stale);
         assert_eq!(c.depth, 62);
     }
@@ -484,9 +464,9 @@ mod tests {
         o.record_ack(Key(1), Version(1), SimTime::ZERO);
         o.record_ack(Key(1), Version(2), SimTime::ZERO);
         for _ in 0..3 {
-            o.classify_read(Key(1), Version(2), Version(2));
+            o.classify_read_at(Key(1), LATER, Version(2));
         }
-        o.classify_read(Key(1), Version(2), Version(1));
+        o.classify_read_at(Key(1), LATER, Version(1));
         assert!((o.stale_rate() - 0.25).abs() < 1e-12);
     }
 
@@ -496,11 +476,11 @@ mod tests {
         let far = (PAGE_SLOTS as u64) * 7 + 3;
         o.record_ack(Key(1), Version(5), SimTime::ZERO);
         o.record_ack(Key(far), Version(9), SimTime::ZERO);
-        assert_eq!(o.expected_version(Key(1)), Version(5));
-        assert_eq!(o.expected_version(Key(far)), Version(9));
+        assert_eq!(o.expected_version_at(Key(1), LATER), Version(5));
+        assert_eq!(o.expected_version_at(Key(far), LATER), Version(9));
         assert_eq!(o.key_count(), 2);
         // Untouched keys on existing pages are still unknown.
-        assert_eq!(o.expected_version(Key(2)), Version::NONE);
+        assert_eq!(o.expected_version_at(Key(2), LATER), Version::NONE);
         // Repeated acks do not recount the key.
         o.record_ack(Key(1), Version(11), SimTime::ZERO);
         assert_eq!(o.key_count(), 2);
@@ -533,16 +513,16 @@ mod tests {
             o.expected_version_at(Key(1), SimTime::from_micros(300)),
             Version(7)
         );
-        // The untimed query sees the full history.
-        assert_eq!(o.expected_version(Key(1)), Version(7));
+        // A query after every ack sees the full history.
+        assert_eq!(o.expected_version_at(Key(1), SimTime::MAX), Version(7));
     }
 
     #[test]
     fn classify_read_at_matches_the_serial_inline_classification() {
         // A read issued between two acks is fresh against the first even
         // though the second has landed by classification time — exactly
-        // what the serial engine concludes by snapshotting expected_version
-        // at issue time.
+        // what an inline check snapshotting the newest ack at issue time
+        // concludes.
         let mut o = StalenessOracle::new();
         o.record_ack(Key(1), Version(3), SimTime::from_micros(100));
         o.record_ack(Key(1), Version(7), SimTime::from_micros(200));

@@ -19,12 +19,14 @@
 //!   points shift.
 //! * **Counters**: a quiet-period scenario (two bursts separated by a long
 //!   idle gap) must elide barriers and fast-forward across the gap, and a
-//!   serial (`shards = 1`) run must report both counters as exactly zero.
+//!   one-shard run must report every sync counter as exactly zero.
 
 use concord_cluster::{
     BatchOp, Cluster, ClusterConfig, ClusterOutput, ConsistencyLevel, ReplicationStrategy,
 };
-use concord_sim::{DcId, NetworkModel, NodeId, RegionId, SimDuration, SimTime, Topology};
+use concord_sim::{
+    DcId, NetworkModel, NodeId, RegionId, ShardMetrics, SimDuration, SimTime, Topology,
+};
 
 /// Deterministic script generator (xorshift64*); the suite must not depend
 /// on ambient randomness, so each property-test case derives everything
@@ -285,29 +287,77 @@ fn quiet_periods_elide_and_fast_forward() {
     );
 }
 
-/// The serial engine never windows, so it can neither elide nor
-/// fast-forward: both counters must be exactly zero at `shards = 1`.
+/// A lone shard synchronizes with no peer, so every `ShardMetrics` field
+/// must read exactly zero at `shards = 1` — for an open-loop run and for a
+/// closed loop alike. The closed loop also pins the one-shard window rule:
+/// a window ends at its first output, so each completion is returned with
+/// the clock at its own `completed_at`, and a client resubmitting at that
+/// instant never falls behind `now()`.
 #[test]
 fn serial_runs_report_zero_elision_counters() {
-    let mut cfg = ClusterConfig::lan_test(5, 3);
-    cfg.shards = 1;
-    let mut c = Cluster::new(cfg, 7);
-    c.load_records((0..16u64).map(|k| (k, 120)));
-    let mut at = SimTime::ZERO;
-    for i in 0..500u64 {
-        at += SimDuration::from_micros(300);
-        if i % 2 == 0 {
+    let one_shard = || {
+        let mut cfg = ClusterConfig::lan_test(5, 3);
+        cfg.shards = 1;
+        let mut c = Cluster::new(cfg, 7);
+        c.load_records((0..16u64).map(|k| (k, 120)));
+        c
+    };
+    let submit = |c: &mut Cluster, i: u64, at: SimTime| {
+        if i.is_multiple_of(2) {
             c.submit_write_at(i % 16, 120, at);
         } else {
             c.submit_read_at(i % 16, at);
         }
+    };
+
+    let mut c = one_shard();
+    let mut at = SimTime::ZERO;
+    for i in 0..500u64 {
+        at += SimDuration::from_micros(300);
+        submit(&mut c, i, at);
     }
     let fp = drain(&mut c, |_, _| {});
-    assert!(fp.ops > 0);
-    let m = c.shard_metrics();
+    assert_eq!(fp.ops, 500);
     assert_eq!(
-        (m.windows, m.elided_barriers, m.fast_forwards),
-        (0, 0, 0),
-        "the serial path must bypass window bookkeeping entirely"
+        c.shard_metrics(),
+        ShardMetrics::default(),
+        "a one-shard open-loop run must report all-zero sync counters"
+    );
+
+    // Closed loop: 8 clients, each resubmitting at its completion instant.
+    let mut c = one_shard();
+    let mut submitted = 0u64;
+    for _ in 0..8 {
+        submit(&mut c, submitted, SimTime::ZERO);
+        submitted += 1;
+    }
+    let mut completed = 0u64;
+    while let Some(out) = c.advance() {
+        let ClusterOutput::Completed(op) = out else {
+            continue;
+        };
+        completed += 1;
+        assert_eq!(
+            c.now(),
+            op.completed_at,
+            "a one-shard completion must be returned at its own instant"
+        );
+        if submitted < 500 {
+            let at = op.completed_at;
+            assert!(
+                at >= c.now(),
+                "resubmission at {}us falls behind now() = {}us",
+                at.as_micros(),
+                c.now().as_micros()
+            );
+            submit(&mut c, submitted, at);
+            submitted += 1;
+        }
+    }
+    assert_eq!(completed, 500, "every closed-loop op completes");
+    assert_eq!(
+        c.shard_metrics(),
+        ShardMetrics::default(),
+        "a one-shard closed-loop run must report all-zero sync counters"
     );
 }

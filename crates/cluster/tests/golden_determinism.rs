@@ -3,12 +3,9 @@
 //! These tests pin the *exact* simulation output of fixed-seed cluster runs:
 //! operation counts, ground-truth stale reads, event counts, final virtual
 //! clock, traffic bytes, and an integer checksum over every completed
-//! operation's latency and returned version. They were captured on the
-//! pre-hot-path-refactor implementation (HashMap op tables, per-read replica
-//! Vec allocations, sort-based replica selection) and must keep passing
-//! byte-for-byte on the slab/scratch-buffer/precomputed-ranking hot path:
-//! any drift means the optimization changed simulation behaviour, not just
-//! its speed.
+//! operation's latency and returned version. Performance work must keep
+//! them byte-for-byte: any drift means the optimization changed simulation
+//! behaviour, not just its speed.
 //!
 //! To re-capture after an *intentional* semantic change, run with
 //! `GOLDEN_PRINT=1 cargo test -p concord-cluster --test golden_determinism -- --nocapture`
@@ -16,23 +13,24 @@
 //!
 //! # Determinism contract of the sharded engine
 //!
-//! Since the parallel execution PR, a run's output is a pure function of
-//! `(seed, shard count)` — **not** of the worker-thread count, the thread
-//! scheduler, or the machine. Concretely:
+//! A run's output is a pure function of `(seed, shard count)` — **not** of
+//! the worker-thread count, the thread scheduler, or the machine.
+//! Concretely:
 //!
-//! * `shards = 1` executes the exact pre-sharding serial engine (same RNG
-//!   stream, same event order, same metering order) and must stay
-//!   byte-identical to every golden captured before the engine existed.
-//! * Each `shards > 1` count is its own deterministic universe: per-shard
-//!   RNG streams (`SimRng::shard_stream`), coordinator-homed routing drawn
+//! * Every shard count, one included, runs the same engine: per-shard RNG
+//!   streams (`SimRng::shard_stream`), coordinator-homed routing drawn
 //!   from the control stream, timestamp-packed write versions and
 //!   barrier-fold ordering (outboxes applied in fixed shard order, read
-//!   classifications resolved against the central oracle's time-indexed ack
-//!   history) make its digests stable, but different from the serial ones —
-//!   so each shard count pins its **own** golden tuple below (captured with
-//!   `GOLDEN_PRINT=1` at the introduction of parallel execution). The
-//!   *physics* is shared: staleness rates, latency sums and traffic stay in
-//!   family across shard counts; only the sampled universe differs.
+//!   classifications resolved against the central oracle's time-indexed
+//!   ack history). Each shard count is its own deterministic universe, so
+//!   each pins its **own** golden tuple below. The *physics* is shared:
+//!   staleness rates, latency sums and traffic stay in family across shard
+//!   counts; only the sampled universe differs.
+//! * A one-shard window ends at its first output (the driver may react to
+//!   it at that instant), which is the only rule that depends on the shard
+//!   count. The one-shard tuples were re-captured when the engine's
+//!   separate serial path was removed; the tuples above one shard predate
+//!   that change and hold byte-for-byte across it.
 //! * For a fixed shard count the digests must be byte-identical at *any*
 //!   worker-thread count (1, 2, 4, 8, …): shard batches only touch
 //!   shard-owned state, and everything cross-shard is folded serially in
@@ -92,9 +90,8 @@ fn geo_cluster(seed: u64) -> Cluster {
     geo_cluster_sharded(seed, 1)
 }
 
-/// The same geo cluster on a sharded event engine: the digests must hold
-/// byte-for-byte at **any** shard count (the conservative-PDES engine's
-/// merge-exact contract — see `concord_sim::shard`).
+/// The same geo cluster at a given event-shard count (each shard count
+/// pins its own digest; see the module docs).
 fn geo_cluster_sharded(seed: u64, shards: u32) -> Cluster {
     let mut cfg = ClusterConfig::lan_test(6, 5);
     cfg.topology = Topology::spread(

@@ -20,9 +20,9 @@
 //!
 //! ## Determinism contract
 //!
-//! * `shards = 1` bypasses window bookkeeping entirely — the single lane
-//!   is popped directly, so the serial engine's counters stay zero and its
-//!   output is byte-identical to the pre-sharding engine.
+//! * `shards = 1` runs the same windows and folds as any other shard
+//!   count, but a lone shard synchronizes with no peer, so the cluster
+//!   reports its counters as all zero.
 //! * For a fixed shard count `> 1`, every counter (and the simulation
 //!   output it summarizes) is a pure function of the seed: handler batches
 //!   touch only shard-owned state, and barrier folds run serially in shard
@@ -31,7 +31,7 @@
 //!   clamping), which is why golden digests are captured per shard count.
 
 /// Counters describing how a sharded run synchronized, and how parallel it
-/// was. All zeros for a serial (`shards = 1`) run.
+/// was. All zeros for a one-shard run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardMetrics {
     /// Lookahead windows executed (barrier crossings). Each window anchors
@@ -84,7 +84,7 @@ mod tests {
         assert_eq!(
             (m.windows, m.staged, m.violations),
             (0, 0, 0),
-            "serial runs must report untouched sync metrics"
+            "one-shard runs must report untouched sync metrics"
         );
         assert_eq!(
             (m.parallel_batches, m.barrier_folds, m.max_batch_len),
@@ -93,7 +93,7 @@ mod tests {
         assert_eq!(
             (m.elided_barriers, m.fast_forwards),
             (0, 0),
-            "barrier-elision counters must stay zero for serial runs"
+            "barrier-elision counters must stay zero for one-shard runs"
         );
     }
 }
