@@ -812,22 +812,23 @@ fn golden_ordered_scan_run() {
 }
 
 // Captured values, one tuple per shard count [1, 2, 4] (see the module
-// docs: shards=1 is the pre-refactor serial digest and predates the
-// parallel engine; the shards>1 tuples were captured with GOLDEN_PRINT=1
-// when parallel execution landed and are thread-count-invariant):
+// docs; every tuple is thread-count-invariant). All one-shard tuples in
+// this file were re-captured with GOLDEN_PRINT=1 when one shard moved onto
+// the window engine; the tuples above one shard were captured earlier and
+// held byte-for-byte across that change:
 // (stale, latency_sum_us, checksum, events, now_us, messages, traffic_total,
 //  traffic_inter_dc, (storage_read_ops, storage_write_ops)).
 type WeakGolden = (u64, u64, u64, u64, u64, u64, u64, u64, (u64, u64));
 const GOLDEN_WEAK: [WeakGolden; 3] = [
     (
-        827,
-        1_738_104,
-        9473355854552743838,
+        821,
+        1_739_547,
+        16693211555691145887,
         44_000,
         12_000_000,
         24_000,
         4_320_000,
-        1_785_960,
+        1_798_920,
         (2_000, 10_000),
     ),
     (
@@ -855,7 +856,7 @@ const GOLDEN_WEAK: [WeakGolden; 3] = [
 ];
 // (latency_sum_us, checksum, events, now_us), per shard count [1, 2, 4].
 const GOLDEN_QUORUM: [(u64, u64, u64, u64); 3] = [
-    (45_593_949, 7203024975233682314, 45_738, 10_900_000),
+    (44_358_114, 3102238229208295144, 46_008, 10_900_000),
     (44_868_937, 14999936417424129039, 45_846, 10_900_000),
     (45_214_288, 1715814602399151384, 45_852, 10_900_000),
 ];
@@ -864,7 +865,7 @@ const GOLDEN_QUORUM: [(u64, u64, u64, u64); 3] = [
 // captured with GOLDEN_PRINT=1 when the sharded fault and repair paths got
 // their first goldens).
 const GOLDEN_FAILURE: [(u64, u64, u64, u64); 2] = [
-    (107, 5_735_824, 5079826259043572358, 3_879),
+    (107, 5_742_840, 17004249469273849820, 3_879),
     (112, 5_972_889, 850796609387105413, 3_864),
 ];
 // Fault-scenario digests (captured at the introduction of fault injection;
@@ -872,7 +873,7 @@ const GOLDEN_FAILURE: [(u64, u64, u64, u64); 2] = [
 // (timeouts, retries, latency_sum_us, checksum, events), per shard count
 // [1, 2].
 const GOLDEN_CRASH: [(u64, u64, u64, u64, u64); 2] = [
-    (61, 147, 18_554_388, 18292732308431460120, 16_744),
+    (59, 155, 18_996_121, 6758310507917758394, 17_151),
     (60, 147, 18_494_973, 3645923232704856466, 17_126),
 ];
 // Repair-plane digest (captured at the introduction of the repair plane;
@@ -884,15 +885,15 @@ type HintCounters = (u64, u64, u64);
 type RepairGolden = (u64, u64, u64, u64, u64, HintCounters, u64, u64, u64);
 const GOLDEN_REPAIR: [RepairGolden; 2] = [
     (
-        59,
-        0,
-        18_510_376,
-        7688465609908642402,
-        17_526,
+        60,
+        1,
+        17_804_265,
+        9429797412107658672,
+        17_894,
         (187, 187, 0),
         64,
-        81,
-        65_756,
+        83,
+        66_176,
     ),
     (
         62,
@@ -914,13 +915,13 @@ const GOLDEN_REPAIR: [RepairGolden; 2] = [
 type ResilienceGolden = (u64, u64, u64, u64, (u64, u64, u64, u64), u64, u64);
 const GOLDEN_RESILIENCE: [ResilienceGolden; 3] = [
     (
-        193,
-        61_440_586,
-        4613832723449410810,
-        42_488,
-        (127, 31, 465, 102),
-        12_700,
-        3_677_500,
+        190,
+        60_882_504,
+        15069338779148262878,
+        42_807,
+        (117, 35, 458, 108),
+        11_700,
+        3_670_180,
     ),
     (
         190,
@@ -943,21 +944,21 @@ const GOLDEN_RESILIENCE: [ResilienceGolden; 3] = [
 ];
 // (timeouts, messages_lost, latency_sum_us, checksum, events).
 const GOLDEN_PARTITION: (u64, u64, u64, u64, u64) =
-    (649, 1_946, 6_516_290_287, 9876085233809652447, 38_442);
-// Scan-scenario digest (shards=1 captured at the introduction of the
-// range-read path; shards>1 with GOLDEN_PRINT=1 when parallel execution
-// landed; re-capture after intentional semantic changes): per shard count
+    (647, 1_945, 6_496_132_306, 18079505873354382864, 38_344);
+// Scan-scenario digest (shards>1 captured with GOLDEN_PRINT=1 when parallel
+// execution landed; re-capture after intentional semantic changes): per
+// shard count
 // [1, 2, 4], (stale, latency_sum_us, checksum, events, (storage_read_ops,
 //  storage_write_ops), traffic_total).
 type ScanGolden = (u64, u64, u64, u64, (u64, u64), u64);
 const GOLDEN_SCAN: [ScanGolden; 3] = [
     (
-        993,
-        1_419_731,
-        306768600784371757,
+        1_023,
+        1_431_763,
+        11570145113540213478,
         24_000,
         (47_250, 3_750),
-        9_266_200,
+        9_270_200,
     ),
     (
         1_002,
@@ -981,9 +982,9 @@ const GOLDEN_SCAN: [ScanGolden; 3] = [
 // semantic changes): (stale, latency_sum_us, checksum, events,
 // (storage_read_ops, storage_write_ops), traffic_total).
 const GOLDEN_ORDERED: (u64, u64, u64, u64, (u64, u64), u64) = (
-    1_002,
-    1_572_569,
-    9619850606259622177,
+    1_033,
+    1_544_074,
+    15250037606971185013,
     26_931,
     (47_250, 3_750),
     11_316_320,
