@@ -2121,11 +2121,25 @@ impl Cluster {
     /// (or the next event lies beyond `deadline`) *and* no deferred fold
     /// work remained to flush.
     fn step_window(&mut self, deadline: Option<SimTime>) -> bool {
-        let shard_min = self
-            .shard_states
-            .iter()
-            .filter_map(|s| s.lane.peek_key_packed())
-            .min();
+        // One pass over the shard lanes yields both the global shard floor
+        // and the window end: the min over shards with pending events of
+        // `shard floor + per-shard lookahead` — a message sent by shard `i`
+        // is sent at or after `i`'s own next-event floor and takes at least
+        // `shard_lookahead[i]` to take effect elsewhere, so no shard can
+        // affect another inside the window. With a uniform lookahead matrix
+        // this equals `global floor + global bound`; with a mixed topology,
+        // shards whose outgoing links are all wide-area stop dragging the
+        // window down to the tightest LAN bound. A zero bound (cross-shard
+        // link with a zero delay infimum) degrades to a minimal 1 µs window.
+        let min_window = SimDuration::from_micros(1);
+        let mut shard_min: Option<u128> = None;
+        let mut end_key = u128::MAX;
+        for (s, lookahead) in self.shard_states.iter().zip(&self.shard_lookahead) {
+            if let Some(k) = s.lane.peek_key_packed() {
+                shard_min = Some(shard_min.map_or(k, |m| m.min(k)));
+                end_key = end_key.min(pack(unpack_time(k) + (*lookahead).max(min_window), 0));
+            }
+        }
         let ctrl_min = self.ctrl.lane.peek_key_packed();
         let next_key = match (shard_min, ctrl_min) {
             // Out of events: publish whatever elided folds deferred (the
@@ -2165,31 +2179,14 @@ impl Cluster {
             self.dispatch_ctrl(now, event);
             return true;
         }
-        // One lookahead window: [floor, end) in packed-key space. The end
-        // is the min over shards with pending events of `shard floor +
-        // per-shard lookahead` — a message sent by shard `i` is sent at or
-        // after `i`'s own next-event floor and takes at least
-        // `shard_lookahead[i]` to take effect elsewhere, so no shard can
-        // affect another inside the window. With a uniform lookahead matrix
-        // this equals the old `global floor + global bound`; with a mixed
-        // topology, shards whose outgoing links are all wide-area stop
-        // dragging the window down to the tightest LAN bound. The window
+        // One lookahead window: [floor, end) in packed-key space. The window
         // never reaches the next control event's instant and never crosses
-        // the caller's deadline; a zero bound (cross-shard link with a zero
-        // delay infimum) degrades to a minimal 1 µs window.
+        // the caller's deadline.
         let floor = next_time;
         if self.sync.windows > 0 && floor > self.last_boundary {
             // The global floor jumped past quiet simulated time instead of
             // marching barrier-by-barrier through it.
             self.sync.fast_forwards += 1;
-        }
-        let min_window = SimDuration::from_micros(1);
-        let mut end_key = u128::MAX;
-        for (i, s) in self.shard_states.iter().enumerate() {
-            if let Some(k) = s.lane.peek_key_packed() {
-                let bound = unpack_time(k) + self.shard_lookahead[i].max(min_window);
-                end_key = end_key.min(pack(bound, 0));
-            }
         }
         debug_assert!(end_key != u128::MAX, "some shard lane has events here");
         if let Some(c) = ctrl_min {
@@ -2256,37 +2253,17 @@ impl Cluster {
     /// instead of a serial walk over every shard. `fold_now` forces the
     /// fold (a one-shard window that stopped on an output).
     fn close_window(&mut self, boundary: SimTime, fold_now: bool) {
-        for s in &self.shard_states {
-            let t = s.lane.now();
-            if t > self.clock {
-                self.clock = t;
-            }
-        }
         self.sync.windows += 1;
-        let batches = self
-            .shard_states
-            .iter()
-            .filter(|s| s.window_popped > 0)
-            .count();
-        if batches >= 2 {
-            self.sync.parallel_batches += 1;
-        }
-        let longest = self
-            .shard_states
-            .iter()
-            .map(|s| s.window_popped)
-            .max()
-            .unwrap_or(0);
-        if longest > self.sync.max_batch_len {
-            self.sync.max_batch_len = longest;
-        }
         let nshards = self.shard_states.len();
+        let mut batches = 0;
         let mut ctrl_work = false;
         for i in 0..nshards {
-            self.sync.staged += self.shard_states[i].window_staged;
-            self.sync.violations += self.shard_states[i].window_violations;
-            self.shard_states[i].window_staged = 0;
-            self.shard_states[i].window_violations = 0;
+            let s = &mut self.shard_states[i];
+            self.clock = self.clock.max(s.lane.now());
+            batches += usize::from(s.window_popped > 0);
+            self.sync.max_batch_len = self.sync.max_batch_len.max(s.window_popped);
+            self.sync.staged += std::mem::take(&mut s.window_staged);
+            self.sync.violations += std::mem::take(&mut s.window_violations);
             // Deliver this sender's arenas in destination order, one batch
             // per destination shard; allocations are handed back for the
             // next window. Staged times were already clamped to the window
@@ -2318,16 +2295,19 @@ impl Cluster {
                 }
                 self.shard_states[i].outbox_dest[dest] = msgs;
             }
-        }
-        for k in 0..nshards {
-            let s = &mut self.shard_states[k];
+            // Gather in shard order (delivery above only fills lanes, so
+            // interleaving it with gathering reorders nothing).
+            let s = &mut self.shard_states[i];
             ctrl_work |= !s.outbox_ctrl.is_empty();
             self.pending_acks.append(&mut s.outbox_acks);
-            let shard = k as u16;
+            let shard = i as u16;
             self.pending_dones
                 .extend(s.outbox_dones.drain(..).map(|(op, t)| (op, t, shard)));
             self.fold_outputs.append(&mut s.outputs);
             self.propagation_samples.append(&mut s.propagation);
+        }
+        if batches >= 2 {
+            self.sync.parallel_batches += 1;
         }
         self.last_boundary = boundary;
         let pending = self.pending_acks.len() + self.pending_dones.len() + self.fold_outputs.len();
