@@ -310,11 +310,12 @@
 //! deterministic universe**: per-shard RNG streams sample different
 //! (equally valid) stochastic trajectories, so outputs differ *across*
 //! shard counts while the physics — staleness rates, latency
-//! distributions, traffic — stays in family. What is pinned instead is that within a shard count the
-//! output is a pure function of the seed: **thread count is a pure
-//! performance knob**, because batches produce into per-shard sinks and
-//! the barrier folds them in fixed shard order regardless of which worker
-//! ran what. `crates/cluster/tests/golden_determinism.rs` captures one
+//! distributions, traffic — stays in family. What is pinned instead is
+//! that within a shard count the output is a pure function of the seed:
+//! **thread count is a pure performance knob**, because batches produce
+//! into per-shard sinks and the barrier folds them in fixed shard order
+//! regardless of which worker ran what.
+//! `crates/cluster/tests/golden_determinism.rs` captures one
 //! golden digest per shard count (re-capture with `GOLDEN_PRINT=1` when
 //! the simulation's outputs legitimately change) and
 //! `crates/cluster/tests/sharded_determinism.rs` asserts byte-identical

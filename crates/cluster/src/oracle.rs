@@ -12,9 +12,10 @@
 //! Like [`ReplicaStore`](crate::ReplicaStore), the per-key state lives in
 //! the shared [`PagedTable`] over the dense record-id space instead of a
 //! hash map: `record_ack` / `classify_read_at` run once per simulated
-//! operation, and with direct indexing each is a shift, a mask and a load. Each slot keeps the binary-searched bounded version
-//! history that staleness *depth* is computed from; vacancy is this table's
-//! own convention (`acked_writes == 0`), per the [`PagedTable`] contract.
+//! operation, and with direct indexing each is a shift, a mask and a load.
+//! Each slot keeps the binary-searched bounded version history that
+//! staleness *depth* is computed from; vacancy is this table's own
+//! convention (`acked_writes == 0`), per the [`PagedTable`] contract.
 
 use crate::paged::PagedTable;
 use crate::types::{Key, Version};

@@ -28,9 +28,7 @@
 //!   counts; only the sampled universe differs.
 //! * A one-shard window ends at its first output (the driver may react to
 //!   it at that instant), which is the only rule that depends on the shard
-//!   count. The one-shard tuples were re-captured when the engine's
-//!   separate serial path was removed; the tuples above one shard predate
-//!   that change and hold byte-for-byte across it.
+//!   count.
 //! * For a fixed shard count the digests must be byte-identical at *any*
 //!   worker-thread count (1, 2, 4, 8, …): shard batches only touch
 //!   shard-owned state, and everything cross-shard is folded serially in
@@ -812,10 +810,7 @@ fn golden_ordered_scan_run() {
 }
 
 // Captured values, one tuple per shard count [1, 2, 4] (see the module
-// docs; every tuple is thread-count-invariant). All one-shard tuples in
-// this file were re-captured with GOLDEN_PRINT=1 when one shard moved onto
-// the window engine; the tuples above one shard were captured earlier and
-// held byte-for-byte across that change:
+// docs; every tuple is thread-count-invariant):
 // (stale, latency_sum_us, checksum, events, now_us, messages, traffic_total,
 //  traffic_inter_dc, (storage_read_ops, storage_write_ops)).
 type WeakGolden = (u64, u64, u64, u64, u64, u64, u64, u64, (u64, u64));
