@@ -2,7 +2,7 @@
 //!
 //! This binary measures the *wall-clock* cost of the discrete-event engine
 //! and the cluster simulator — events per second and nanoseconds per
-//! simulated client operation — on four substrates:
+//! simulated client operation — on these substrates:
 //!
 //! * `event_queue`: schedule + pop of randomly-timed events through the raw
 //!   [`concord_sim::EventQueue`] (the engine floor);
@@ -17,6 +17,13 @@
 //!   arrival schedule from `CoreWorkload::timed_ops` bulk-loaded through
 //!   [`Cluster::submit_batch`], so client arrivals ride the event queue's
 //!   O(1) bulk FIFO lane instead of paying one heap push each;
+//! * `anti_entropy`: repair-plane convergence on a diverged multi-node
+//!   store — an 8-node RF-3 cluster with anti-entropy sweeps on takes one
+//!   node down at a time, writes past it at level ONE, and times only the
+//!   sweeps that stream the missed writes back once it returns. Its
+//!   `ANTI_ENTROPY_DATAPOINT` line reports ns per compared page and per
+//!   streamed record (the measurement's `ops` are compared pages, its
+//!   `events` streamed records);
 //! * `sharded` (plain invocations only, i.e. without `--shards`): the
 //!   bulk workload re-run at shards 1, 2 and 4 **in one invocation** —
 //!   the pure engine-overhead curve — printing one greppable
@@ -50,9 +57,10 @@
 
 use concord_bench::{run_timed_grid, Harness};
 use concord_cluster::{
-    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, Partitioner, ReplicaStore,
+    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, Partitioner, RepairConfig, RepairMode,
+    ReplicaStore,
 };
-use concord_sim::{EventQueue, ShardMetrics, SimDuration, SimRng, SimTime};
+use concord_sim::{EventQueue, NodeId, ShardMetrics, SimDuration, SimRng, SimTime};
 use concord_workload::{ArrivalProcess, CoreWorkload, OperationType, WorkloadConfig};
 use std::time::Instant;
 
@@ -211,6 +219,50 @@ fn bench_cluster(total_ops: u64, partitioner: Partitioner, shards: u32) -> Measu
     }
 }
 
+/// Anti-entropy convergence on a diverged store. Each round takes the next
+/// node down, writes `WRITES` random keys past it at level ONE (no hints,
+/// so the node misses them), drains, brings it back up and times the
+/// sweep cycle that converges it. Only that last phase is timed; `ops` is
+/// the pages it compared and `events` the records it streamed.
+fn bench_anti_entropy(rounds: u64, partitioner: Partitioner, shards: u32) -> Measurement {
+    const NODES: u32 = 8;
+    const KEYS: u64 = 16 * 4096;
+    const WRITES: u64 = 4_096;
+    let mut cfg = ClusterConfig::lan_test(NODES as usize, 3);
+    cfg.partitioner = partitioner;
+    cfg.shards = shards;
+    cfg.repair = RepairConfig::with_mode(RepairMode::AntiEntropy);
+    let mut cluster = Cluster::new(cfg, 17);
+    cluster.load_records((0..KEYS).map(|k| (k, 1_000)));
+    let mut rng = SimRng::new(17);
+    let (mut pages, mut records, mut elapsed) = (0u64, 0u64, 0.0f64);
+    for round in 0..rounds {
+        let victim = NodeId((round % NODES as u64) as u32);
+        cluster.set_node_down(victim);
+        let start = cluster.now();
+        for i in 0..WRITES {
+            let at = start + SimDuration::from_micros(100 * (i + 1));
+            let key = rng.next_bounded(KEYS);
+            cluster.submit_write_with(key, 1_000, ConsistencyLevel::One, at);
+        }
+        cluster.run_to_completion(u64::MAX);
+        cluster.set_node_up(victim);
+        let before = cluster.metrics();
+        let t0 = Instant::now();
+        cluster.run_to_completion(u64::MAX);
+        elapsed += t0.elapsed().as_secs_f64();
+        let after = cluster.metrics();
+        pages += after.repair_pages_compared - before.repair_pages_compared;
+        records += after.repair_records_streamed - before.repair_records_streamed;
+    }
+    Measurement {
+        name: "anti_entropy",
+        ops: pages,
+        events: records,
+        elapsed_secs: elapsed,
+    }
+}
+
 /// The open-loop bulk path: a sorted `timed_ops` arrival schedule from the
 /// workload generator, bulk-loaded in windows through `Cluster::submit_batch`
 /// (the event queue's O(1) bulk lane carries every client arrival).
@@ -341,6 +393,7 @@ enum Substrate {
     Store { ops: u64 },
     Cluster { ops: u64 },
     ClusterBulk { ops: u64 },
+    AntiEntropy { rounds: u64 },
     Sharded { ops: u64 },
 }
 
@@ -393,6 +446,9 @@ fn main() {
         Substrate::Store { ops: store_ops },
         Substrate::Cluster { ops: cluster_ops },
         Substrate::ClusterBulk { ops: cluster_ops },
+        Substrate::AntiEntropy {
+            rounds: (cluster_ops / 2_000).max(2),
+        },
     ];
     // The engine-overhead curve only belongs to plain invocations: with an
     // explicit `--shards N` the caller is already sweeping shard counts
@@ -410,6 +466,9 @@ fn main() {
             }
             Substrate::ClusterBulk { ops } => {
                 best_of(repeat, || bench_cluster_bulk(ops, partitioner, shards))
+            }
+            Substrate::AntiEntropy { rounds } => {
+                best_of(repeat, || bench_anti_entropy(rounds, partitioner, shards))
             }
             // best_of lives inside: each shard count picks its own best
             // run, and the BARRIER_DATAPOINT lines print per shard count.
@@ -456,6 +515,19 @@ fn main() {
                 m.ns_per_op()
             );
         }
+    }
+    // Per-layer repair-plane figures: the same timed phase divided by the
+    // pages it compared and by the records it streamed.
+    for m in measurements.iter().filter(|m| m.name == "anti_entropy") {
+        println!(
+            "ANTI_ENTROPY_DATAPOINT {{\"shards\":{shards},\"threads\":{threads},\
+             \"pages_compared\":{},\"records_streamed\":{},\"ns_per_page\":{:.1},\
+             \"ns_per_record\":{:.1}}}",
+            m.ops,
+            m.events,
+            m.ns_per_op(),
+            m.elapsed_secs * 1e9 / m.events.max(1) as f64
+        );
     }
     if let Some(path) = out_path {
         if let Err(e) = std::fs::write(&path, format!("{json}\n")) {

@@ -88,7 +88,12 @@
 //!   per-page version digests, and stream only the strictly-newer records
 //!   of divergent pages; crash/recover reconfigurations additionally
 //!   schedule targeted recovery syncs so survivors (and later the rejoined
-//!   node) re-acquire the ranges that moved.
+//!   node) re-acquire the ranges that moved. A divergent page is diffed by
+//!   ANDing the sender's occupancy bitmap with the receiver's ownership
+//!   bitmap (the keys it replicates under the current ring), so a sweep's
+//!   wall-clock cost scales with those candidate keys, not with the page's
+//!   slots. `exp_throughput`'s `anti_entropy` substrate times it per
+//!   compared page and per streamed record.
 //! * **`full`** — both.
 //!
 //! Repair work is metered (`hints_queued`/`hints_replayed`/`hints_dropped`,

@@ -89,7 +89,7 @@ use crate::config::ClusterConfig;
 use crate::consistency::ConsistencyLevel;
 use crate::metrics::ClusterMetrics;
 use crate::oracle::{OracleStats, StalenessOracle};
-use crate::paged::PagedTable;
+use crate::paged::{PagedTable, PAGE_BITS, PAGE_SLOTS, PAGE_WORDS};
 use crate::ring::{Partitioner, Ring, ORDERED_SLICE_BITS};
 use crate::slab::OpSlab;
 use crate::storage::ReplicaStore;
@@ -567,6 +567,57 @@ impl ReplicaCache {
     }
 }
 
+/// Per-(page, node) ownership bitmaps of the current ring epoch — the
+/// receiver-side mask of an anti-entropy page diff: bit `i` of
+/// `pages[page][node]` is set iff `node` replicates key
+/// `(page << PAGE_BITS) + i`. A page's maps (every node's at once) are built
+/// from the control [`ReplicaCache`] the first time the page is diffed in an
+/// epoch, and dropped by [`OwnershipMaps::reset`] alongside the cache when
+/// the ring changes.
+#[derive(Debug, Default)]
+struct OwnershipMaps {
+    /// Per page: one bitmap per node; empty until built this epoch.
+    pages: Vec<Vec<[u64; PAGE_WORDS]>>,
+    /// Replica list scratch for the build walk.
+    members: Vec<NodeId>,
+}
+
+impl OwnershipMaps {
+    /// Drop every built page (the ring was rebuilt), keeping allocations.
+    fn reset(&mut self) {
+        for maps in &mut self.pages {
+            maps.clear();
+        }
+    }
+
+    /// The keys of `page` that `node` replicates under `ring`, building the
+    /// page's maps for all `nodes` on first use this epoch.
+    fn page_mask(
+        &mut self,
+        cache: &mut ReplicaCache,
+        ring: &Ring,
+        nodes: usize,
+        page: usize,
+        node: NodeId,
+    ) -> &[u64; PAGE_WORDS] {
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, Vec::new);
+        }
+        let maps = &mut self.pages[page];
+        if maps.is_empty() {
+            maps.resize(nodes, [0; PAGE_WORDS]);
+            let base = (page as u64) << PAGE_BITS;
+            for slot in 0..PAGE_SLOTS {
+                cache.replicas_into(ring, Key(base + slot as u64), &mut self.members);
+                for member in &self.members {
+                    maps[member.0 as usize][slot / 64] |= 1 << (slot % 64);
+                }
+            }
+        }
+        &maps[node.0 as usize]
+    }
+}
+
 /// Dense index of a [`LinkClass`] into the sampler table.
 #[inline]
 const fn class_index(class: LinkClass) -> usize {
@@ -867,13 +918,14 @@ struct ControlState {
     /// Consecutive sweep rounds that streamed nothing; the cycle parks
     /// after one fully idle round and is resumed by fault transitions.
     sweep_idle_rounds: u32,
-    /// Scratch for one page's records during an anti-entropy stream.
+    /// Scratch for one page's streamed records during an anti-entropy diff.
     repair_page_scratch: Vec<(Key, Version, u32)>,
-    /// Scratch for ring-membership checks during an anti-entropy stream.
-    repair_member_scratch: Vec<NodeId>,
-    /// Placement cache for control-plane ring walks (repair membership
-    /// gates, bulk-load placement).
+    /// Placement cache for control-plane ring walks (repair ownership
+    /// maps, bulk-load placement).
     replica_cache: ReplicaCache,
+    /// Per-(page, node) ownership bitmaps masking anti-entropy page diffs
+    /// (reset on ring rebuilds, like the cache they are built from).
+    ownership: OwnershipMaps,
     /// The ground-truth staleness oracle. One central instance, untouched
     /// while windows run and mutated only at serial points: preloads
     /// before the run, and acks and read classifications at folds.
@@ -1289,8 +1341,8 @@ impl Cluster {
             sweep_streamed: false,
             sweep_idle_rounds: 0,
             repair_page_scratch: Vec::new(),
-            repair_member_scratch: Vec::new(),
             replica_cache: ReplicaCache::new(effective_rf),
+            ownership: OwnershipMaps::default(),
             oracle: StalenessOracle::new(),
         };
         Cluster {
@@ -1730,6 +1782,7 @@ impl Cluster {
             s.replica_cache.reset(rf);
         }
         self.ctrl.replica_cache.reset(rf);
+        self.ctrl.ownership.reset();
     }
 
     /// Partition two datacenters: every message between their nodes is lost
@@ -2649,31 +2702,22 @@ impl Cluster {
     /// repair writes. Returns the number of records streamed. The
     /// strictly-newer filter makes reconciliation monotone: re-comparing a
     /// converged page streams nothing, which is what lets the sweep cycle
-    /// park.
+    /// park. The membership gate is `to`'s ownership bitmap of the page:
+    /// divergent data moves only to a current replica of the key, never to
+    /// a node that happens to share the page but no longer owns the record.
     fn stream_page_diff(&mut self, now: SimTime, from: NodeId, to: NodeId, page: usize) -> u64 {
         let mut records = std::mem::take(&mut self.ctrl.repair_page_scratch);
         records.clear();
-        self.store(from).collect_page(page, &mut records);
-        let mut members = std::mem::take(&mut self.ctrl.repair_member_scratch);
-        let mut streamed = 0u64;
+        let mask = *self.ctrl.ownership.page_mask(
+            &mut self.ctrl.replica_cache,
+            &self.shared.ring,
+            self.shared.node_count,
+            page,
+            to,
+        );
+        self.store(from)
+            .newer_in_page(self.store(to), page, &mask, &mut records);
         for &(key, version, size) in &records {
-            let held = self
-                .store(to)
-                .peek(key)
-                .map(|v| v.version)
-                .unwrap_or(Version::NONE);
-            if version <= held {
-                continue;
-            }
-            // Membership gate: divergent data moves only to a current
-            // replica of the key, never to a node that happens to share the
-            // page but no longer owns the record.
-            self.ctrl
-                .replica_cache
-                .replicas_into(&self.shared.ring, key, &mut members);
-            if !members.contains(&to) {
-                continue;
-            }
             let delay = self.repair_message_delay(from, to, size);
             let dest = self.shared.shard_of(to);
             let s = &mut self.shard_states[dest];
@@ -2693,11 +2737,10 @@ impl Cluster {
                     task: ReplicaTask::Write { payload },
                 },
             );
-            streamed += 1;
         }
+        let streamed = records.len() as u64;
         self.ctrl.metrics.repair_records_streamed += streamed;
         self.ctrl.repair_page_scratch = records;
-        self.ctrl.repair_member_scratch = members;
         streamed
     }
 
@@ -5246,5 +5289,149 @@ mod tests {
         assert_eq!(m.repair_pages_compared, 0);
         assert_eq!(m.repair_records_streamed, 0);
         assert_eq!(m.repair_traffic.total(), 0);
+    }
+
+    /// Pop every event off the shard lanes and return the repair writes
+    /// among them as sorted `(receiver, key)` pairs.
+    fn drain_repair_writes(c: &mut Cluster) -> Vec<(NodeId, Key)> {
+        let mut out = Vec::new();
+        for s in &mut c.shard_states {
+            while let Some((_, event)) = s.lane.pop() {
+                if let Event::ReplicaArrive {
+                    node,
+                    task: ReplicaTask::Write { payload },
+                } = event
+                {
+                    let p = s.release_payload(payload);
+                    if p.repair {
+                        out.push((node, p.key));
+                    }
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// Brute-force streams of `from → to` diffs under the current ring:
+    /// every key `from` holds newer than `to` and `to` currently replicates.
+    fn reference_streams(c: &Cluster, pairs: &[(NodeId, NodeId)]) -> Vec<(NodeId, Key)> {
+        let mut out = Vec::new();
+        for &(from, to) in pairs {
+            let pages = c.store(from).summary_pages();
+            for k in 0..(pages * PAGE_SLOTS) as u64 {
+                let key = Key(k);
+                let Some(v) = c.store(from).peek(key) else {
+                    continue;
+                };
+                let held = c.store(to).peek(key).map_or(Version::NONE, |h| h.version);
+                if v.version > held && c.shared.ring.replicas(key).contains(&to) {
+                    out.push((to, key));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// The ownership bitmaps masking page diffs are per ring epoch: across
+    /// crash → recovery sync → recover → sweep, every repair write goes to
+    /// a node in the key's *current* replica set, and exactly the
+    /// brute-force set of newer owned records streams. A bitmap kept from
+    /// the crash epoch would stream the survivors' acquired (and now
+    /// returned) ranges back to them after the recovery.
+    #[test]
+    fn page_diffs_follow_the_current_ring_epoch() {
+        for partitioner in [Partitioner::Hash, Partitioner::Ordered] {
+            for shards in [1, 2] {
+                let mut cfg = ClusterConfig::lan_test(6, 3);
+                cfg.repair = crate::config::RepairConfig::with_mode(RepairMode::Full);
+                cfg.partitioner = partitioner;
+                cfg.shards = shards;
+                let mut c = Cluster::new(cfg, 7);
+                let keys = 2 * PAGE_SLOTS as u64 + 900;
+                c.load_records((0..keys).map(|k| (k, 100)));
+                let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
+                let mut version = 1u64 << 40;
+                // Partial propagation: a newer version reaches only one
+                // replica (or a non-replica) of every seventh key.
+                let mut diverge = |c: &mut Cluster, salt: u64| {
+                    for k in (salt..keys).step_by(7) {
+                        let node = NodeId(((k / 7 + salt) % 6) as u32);
+                        if c.shared.down[node.0 as usize] {
+                            continue;
+                        }
+                        version += 1;
+                        let shard = c.shared.shard_of(node);
+                        c.shard_states[shard].stores[node.0 as usize].apply_write(
+                            Key(k),
+                            Version(version),
+                            100,
+                            SimTime::ZERO,
+                        );
+                    }
+                };
+                let up_pairs = |c: &Cluster| -> Vec<(NodeId, NodeId)> {
+                    let up = |n: &NodeId| !c.shared.down[n.0 as usize];
+                    let mut pairs = Vec::new();
+                    for &a in nodes.iter().filter(|n| up(n)) {
+                        for &b in nodes.iter().filter(|n| up(n) && **n != a) {
+                            pairs.push((a, b));
+                        }
+                    }
+                    pairs
+                };
+                let check = |c: &mut Cluster, expected: Vec<(NodeId, Key)>, phase: &str| {
+                    let streamed = drain_repair_writes(c);
+                    for &(to, key) in &streamed {
+                        assert!(
+                            c.shared.ring.replicas(key).contains(&to),
+                            "{phase}: {key:?} streamed to non-replica {to:?} \
+                             ({partitioner:?}, shards {shards})"
+                        );
+                    }
+                    assert!(!streamed.is_empty(), "{phase}: nothing diverged");
+                    assert_eq!(streamed, expected, "{phase}: streamed set differs");
+                };
+                let now = c.now();
+
+                // Epoch 0: sweep every pair (builds the epoch's bitmaps).
+                diverge(&mut c, 0);
+                let expected = reference_streams(&c, &up_pairs(&c));
+                for (a, b) in up_pairs(&c).into_iter().filter(|(a, b)| a < b) {
+                    c.sweep_pair(now, a, b);
+                }
+                check(&mut c, expected, "epoch-0 sweep");
+
+                // Epoch 1: the victim crashes; every survivor syncs and
+                // acquires the victim's ranges from its peers.
+                let victim = NodeId(2);
+                c.crash_node(victim);
+                diverge(&mut c, 3);
+                let expected = reference_streams(&c, &up_pairs(&c));
+                for &peer in nodes.iter().filter(|&&n| n != victim) {
+                    c.on_repair_sync(now, peer);
+                }
+                check(&mut c, expected, "post-crash recovery sync");
+
+                // Epoch 2: the victim returns and the survivors give the
+                // acquired ranges back; sync the victim, then sweep.
+                c.recover_node(victim);
+                diverge(&mut c, 5);
+                let into_victim: Vec<_> = nodes
+                    .iter()
+                    .filter(|&&n| n != victim)
+                    .map(|&n| (n, victim))
+                    .collect();
+                let expected = reference_streams(&c, &into_victim);
+                c.on_repair_sync(now, victim);
+                check(&mut c, expected, "post-recover sync");
+                let expected = reference_streams(&c, &up_pairs(&c));
+                for (a, b) in up_pairs(&c).into_iter().filter(|(a, b)| a < b) {
+                    c.sweep_pair(now, a, b);
+                }
+                check(&mut c, expected, "post-recover sweep");
+            }
+        }
     }
 }

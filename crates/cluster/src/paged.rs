@@ -32,6 +32,9 @@ pub const PAGE_BITS: u32 = 12;
 pub const PAGE_SLOTS: usize = 1 << PAGE_BITS;
 /// Mask extracting the slot index within a page.
 pub const PAGE_MASK: u64 = PAGE_SLOTS as u64 - 1;
+/// 64-bit words in a one-bit-per-slot page bitmap (the replica store's
+/// occupancy bitmaps and the repair plane's ownership bitmaps).
+pub const PAGE_WORDS: usize = PAGE_SLOTS / 64;
 
 /// A paged direct-index table over a dense `u64` slot space. See the module
 /// docs for the layout and the vacancy contract.

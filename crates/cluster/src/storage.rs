@@ -38,11 +38,23 @@
 //! match. Anti-entropy sweeps compare these summaries instead of
 //! record-by-record state, streaming only divergent pages; because the page
 //! granule (4096 slots) equals the ordered partitioner's slice granule, a
-//! page diff is also a slice diff. Stores built with [`ReplicaStore::new`]
-//! skip the maintenance entirely — the write path pays nothing for a repair
-//! plane that is switched off.
+//! page diff is also a slice diff.
+//!
+//! Beside each digest sits the page's **occupancy bitmap** (`[u64; 64]`, one
+//! bit per slot), set on a slot's first occupancy. Records are never
+//! deleted, so it only grows. A divergent page is diffed by
+//! [`ReplicaStore::newer_in_page`]: the caller passes the receiver's
+//! ownership bitmap for the page, and the diff walks only the set bits of
+//! `ownership & occupancy` — the keys the sender holds *and* the receiver
+//! replicates — peeking the receiver's copy of each. So a sweep's cost
+//! scales with those candidate keys, not with the page's 4096 slots or the
+//! sender's full key set.
+//!
+//! Stores built with [`ReplicaStore::new`] skip the maintenance of both
+//! summaries entirely — the write path pays nothing for a repair plane that
+//! is switched off.
 
-use crate::paged::{PagedTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS};
+use crate::paged::{PagedTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS, PAGE_WORDS};
 use crate::types::{Key, StoredValue, Version};
 use concord_sim::SimTime;
 
@@ -80,14 +92,28 @@ pub struct ReplicaStore {
     /// Writes ignored because a newer version was already present
     /// (late-arriving propagation after a concurrent overwrite).
     superseded_writes: u64,
-    /// Per-page XOR digest over `mix(key, version)` of occupied slots (see
-    /// the module docs); index = `key >> PAGE_BITS`, 0 for untouched pages.
-    page_digests: Vec<u64>,
-    /// Whether the digests above are maintained. Off by default so the
+    /// Per-page summaries (see the module docs); index = `key >> PAGE_BITS`,
+    /// all-zero for untouched pages.
+    page_summaries: Vec<PageSummary>,
+    /// Whether the summaries above are maintained. Off by default so the
     /// write path pays no mixing cost when no repair plane will ever
     /// compare summaries.
     summaries_enabled: bool,
 }
+
+/// One page's anti-entropy summary.
+#[derive(Debug, Clone)]
+struct PageSummary {
+    /// XOR over `mix(key, version)` of the page's occupied slots.
+    digest: u64,
+    /// Bit `i` set iff slot `i` of the page is occupied.
+    occupied: [u64; PAGE_WORDS],
+}
+
+const EMPTY_SUMMARY: PageSummary = PageSummary {
+    digest: 0,
+    occupied: [0; PAGE_WORDS],
+};
 
 /// Mix one `(key, version)` pair into a 64-bit contribution (splitmix64-style
 /// finalizer over the combined pair). Order-independent under XOR: equal page
@@ -123,14 +149,14 @@ impl ReplicaStore {
             write_ops: 0,
             read_ops: 0,
             superseded_writes: 0,
-            page_digests: Vec::new(),
+            page_summaries: Vec::new(),
             summaries_enabled: false,
         }
     }
 
-    /// An empty store that maintains per-page version summaries for
-    /// anti-entropy comparison (see the module docs). Costs two 64-bit
-    /// mixes per installed write.
+    /// An empty store that maintains per-page version summaries and
+    /// occupancy bitmaps for anti-entropy comparison (see the module docs).
+    /// Costs two 64-bit mixes per installed write.
     pub fn with_summaries() -> Self {
         ReplicaStore {
             summaries_enabled: true,
@@ -138,15 +164,24 @@ impl ReplicaStore {
         }
     }
 
-    /// XOR `delta` into the digest of `key`'s page, growing the summary
-    /// vector on first touch.
+    /// Fold an installed `(key, version)` over `old_version` into the
+    /// summary of `key`'s page, growing the summary vector on first touch:
+    /// the digest swaps the old pair's contribution for the new one, and a
+    /// first occupancy sets the slot's bit.
     #[inline]
-    fn xor_page_digest(&mut self, key: Key, delta: u64) {
+    fn update_summary(&mut self, key: Key, version: Version, old_version: Version) {
         let page = (key.0 >> PAGE_BITS) as usize;
-        if page >= self.page_digests.len() {
-            self.page_digests.resize(page + 1, 0);
+        if page >= self.page_summaries.len() {
+            self.page_summaries.resize(page + 1, EMPTY_SUMMARY);
         }
-        self.page_digests[page] ^= delta;
+        let summary = &mut self.page_summaries[page];
+        summary.digest ^= mix_record(key, version);
+        if old_version.exists() {
+            summary.digest ^= mix_record(key, old_version);
+        } else {
+            let slot = (key.0 & PAGE_MASK) as usize;
+            summary.occupied[slot / 64] |= 1 << (slot % 64);
+        }
     }
 
     /// The slot for `key`, if its page exists (never allocates).
@@ -181,11 +216,7 @@ impl ReplicaStore {
             applied_at: at,
         };
         if self.summaries_enabled {
-            let mut digest_delta = mix_record(key, version);
-            if old_version.exists() {
-                digest_delta ^= mix_record(key, old_version);
-            }
-            self.xor_page_digest(key, digest_delta);
+            self.update_summary(key, version, old_version);
         }
         true
     }
@@ -210,11 +241,7 @@ impl ReplicaStore {
             applied_at: SimTime::ZERO,
         };
         if self.summaries_enabled {
-            let mut digest_delta = mix_record(key, version);
-            if old_version.exists() {
-                digest_delta ^= mix_record(key, old_version);
-            }
-            self.xor_page_digest(key, digest_delta);
+            self.update_summary(key, version, old_version);
         }
     }
 
@@ -298,27 +325,52 @@ impl ReplicaStore {
     /// hold identical `(key, version)` contents on that page, modulo 64-bit
     /// XOR-hash collisions.
     pub fn page_digest(&self, page: usize) -> u64 {
-        self.page_digests.get(page).copied().unwrap_or(0)
+        self.page_summaries.get(page).map_or(0, |p| p.digest)
     }
 
     /// Number of page indices covered by this store's version summary (the
     /// anti-entropy comparison walks `0..summary_pages()` of both replicas).
     pub fn summary_pages(&self) -> usize {
-        self.page_digests.len()
+        self.page_summaries.len()
     }
 
-    /// Append every occupied record of page `page` to `out` as
-    /// `(key, version, size)` — the streaming side of an anti-entropy diff.
-    /// Does not touch the I/O meters: callers account the stream as network
-    /// traffic and replica writes, not local scans.
-    pub fn collect_page(&self, page: usize, out: &mut Vec<(Key, Version, u32)>) {
-        let Some(slots) = self.table.page(page) else {
+    /// The streaming side of an anti-entropy diff: append to `out`, as
+    /// `(key, version, size)` in ascending key order, every record of page
+    /// `page` whose slot bit is set in `mask` and whose version is strictly
+    /// newer than `other`'s copy (absent counts as older than anything).
+    /// Only the set bits of `mask & occupancy` are visited. Does not touch
+    /// the I/O meters: callers account the stream as network traffic and
+    /// replica writes, not local scans.
+    ///
+    /// Both stores must maintain summaries ([`ReplicaStore::with_summaries`]):
+    /// without an occupancy bitmap the diff would silently stream nothing.
+    pub fn newer_in_page(
+        &self,
+        other: &ReplicaStore,
+        page: usize,
+        mask: &[u64; PAGE_WORDS],
+        out: &mut Vec<(Key, Version, u32)>,
+    ) {
+        debug_assert!(
+            self.summaries_enabled && other.summaries_enabled,
+            "page diffs run only on summary-enabled stores"
+        );
+        let (Some(summary), Some(slots)) = (self.page_summaries.get(page), self.table.page(page))
+        else {
             return;
         };
+        let theirs = other.table.page(page);
         let base = (page as u64) << PAGE_BITS;
-        for (i, slot) in slots.iter().enumerate() {
-            if slot.version.exists() {
-                out.push((Key(base + i as u64), slot.version, slot.size));
+        for (w, (&occupied, &owned)) in summary.occupied.iter().zip(mask).enumerate() {
+            let mut bits = occupied & owned;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = &slots[i];
+                let held = theirs.map_or(Version::NONE, |t| t[i].version);
+                if slot.version > held {
+                    out.push((Key(base + i as u64), slot.version, slot.size));
+                }
             }
         }
     }
@@ -483,25 +535,78 @@ mod tests {
     }
 
     #[test]
-    fn collect_page_streams_occupied_records() {
-        let mut s = ReplicaStore::new();
+    fn newer_in_page_streams_candidate_records() {
+        let mut s = ReplicaStore::with_summaries();
         s.preload(Key(3), Version(30), 100);
         s.preload(Key(5), Version(50), 200);
         s.preload(Key(PAGE_SLOTS as u64 + 1), Version(7), 10);
+        let empty = ReplicaStore::with_summaries();
+        let all = [u64::MAX; PAGE_WORDS];
         let mut out = Vec::new();
-        s.collect_page(0, &mut out);
+        s.newer_in_page(&empty, 0, &all, &mut out);
         assert_eq!(
             out,
             vec![(Key(3), Version(30), 100), (Key(5), Version(50), 200)]
         );
         out.clear();
-        s.collect_page(1, &mut out);
+        s.newer_in_page(&empty, 1, &all, &mut out);
         assert_eq!(out, vec![(Key(PAGE_SLOTS as u64 + 1), Version(7), 10)]);
         out.clear();
-        s.collect_page(9, &mut out);
+        s.newer_in_page(&empty, 9, &all, &mut out);
         assert!(out.is_empty(), "unallocated pages stream nothing");
         let (reads, writes) = (s.read_ops(), s.write_ops());
         assert_eq!((reads, writes), (0, 0), "collection is not storage I/O");
+
+        // The mask restricts the walk to the receiver's keys.
+        let mut only_5 = [0; PAGE_WORDS];
+        only_5[0] = 1 << 5;
+        s.newer_in_page(&empty, 0, &only_5, &mut out);
+        assert_eq!(out, vec![(Key(5), Version(50), 200)]);
+        out.clear();
+        s.newer_in_page(&empty, 0, &[0; PAGE_WORDS], &mut out);
+        assert!(out.is_empty(), "an empty mask streams nothing");
+
+        // Only strictly newer records stream: equal and newer copies on
+        // the receiver suppress them.
+        let mut other = ReplicaStore::with_summaries();
+        other.preload(Key(3), Version(30), 100);
+        other.preload(Key(5), Version(60), 200);
+        s.newer_in_page(&other, 0, &all, &mut out);
+        assert!(out.is_empty());
+        other.newer_in_page(&s, 0, &all, &mut out);
+        assert_eq!(out, vec![(Key(5), Version(60), 200)]);
+    }
+
+    #[test]
+    fn occupancy_bits_track_first_occupancy_only() {
+        let mut s = ReplicaStore::with_summaries();
+        let last = PAGE_SLOTS as u64 - 1;
+        s.apply_write(Key(last), Version(1), 10, SimTime::ZERO);
+        s.apply_write(Key(last), Version(2), 10, SimTime::ZERO);
+        s.preload(Key(64), Version(3), 10);
+        assert_eq!(s.page_summaries[0].occupied[PAGE_WORDS - 1], 1 << 63);
+        assert_eq!(s.page_summaries[0].occupied[1], 1);
+        let set: u32 = s.page_summaries[0]
+            .occupied
+            .iter()
+            .map(|w| w.count_ones())
+            .sum();
+        assert_eq!(set as usize, s.key_count());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "summary-enabled")]
+    fn page_diffs_refuse_stores_without_summaries() {
+        let mut s = ReplicaStore::new();
+        s.preload(Key(1), Version(1), 10);
+        let mut out = Vec::new();
+        s.newer_in_page(
+            &ReplicaStore::with_summaries(),
+            0,
+            &[u64::MAX; PAGE_WORDS],
+            &mut out,
+        );
     }
 
     #[test]
