@@ -38,6 +38,11 @@
 //! hedging measurably cuts the read p99 and prints a greppable
 //! `HEDGE_DATAPOINT` line with both tails and the hedge traffic billed.
 //!
+//! The last line, `E2E_DATAPOINT`, reports the whole run's wall-clock and
+//! peak RSS; its `points` counts every simulated point (the sweep twice,
+//! plus the three gray-failure arms) and `threads` is the parallel sweep's
+//! pool size.
+//!
 //! ```text
 //! cargo run --release -p concord-bench --bin exp_faults -- --seeds 2            # PR smoke
 //! cargo run --release -p concord-bench --bin exp_faults -- --repair full --seeds 2
@@ -47,10 +52,12 @@
 
 use concord::prelude::*;
 use concord::PolicySpec;
-use concord_bench::{render_summary_table, slim, Harness, Sweep};
+use concord_bench::{print_e2e_datapoint, render_summary_table, slim, Harness, Sweep};
 use concord_sim::LinkClass;
+use std::time::Instant;
 
 fn main() {
+    let started = Instant::now();
     let harness = Harness::from_env();
     // The fault script's offsets are derived from this binary's own 20 s
     // open-loop span; an arrival override would desynchronize them.
@@ -117,8 +124,9 @@ fn main() {
         pool.install(|| sweep.run())
     };
 
+    let parallel_threads = cores.max(2);
     let sequential = timed_run(1);
-    let parallel = timed_run(cores.max(2));
+    let parallel = timed_run(parallel_threads);
     let identical = sequential
         .reports
         .iter()
@@ -304,5 +312,11 @@ fn main() {
         full.breaker_opens,
         off_bill.network_usd,
         hedged_bill.network_usd,
+    );
+    print_e2e_datapoint(
+        started,
+        2 * sweep.len() + 3,
+        platform.cluster.shards,
+        parallel_threads,
     );
 }

@@ -5,7 +5,9 @@
 //! Grid'5000 deployment (84 nodes, 2 clusters, 3 M ops — EXP-A1) and the EC2
 //! deployment (20 VMs, 5 M ops — EXP-A2), through the shared [`Sweep`]
 //! harness: pass `--seeds 8` for a multi-seed sweep with confidence
-//! intervals, `--threads N` to size the pool.
+//! intervals, `--threads N` to size the pool. The last line,
+//! `E2E_DATAPOINT`, reports the run's wall-clock, grid points, shard and
+//! thread counts and peak RSS.
 //!
 //! ```text
 //! cargo run --release -p concord-bench --bin exp_harmony -- --platform g5k
@@ -15,9 +17,13 @@
 
 use concord::prelude::*;
 use concord::PolicySpec;
-use concord_bench::{compare_line, render_summary_table, slim, Harness, Sweep};
+use concord_bench::{
+    compare_line, print_e2e_datapoint, render_summary_table, slim, Harness, Sweep,
+};
+use std::time::Instant;
 
 fn main() {
+    let started = Instant::now();
     let harness = Harness::from_env();
 
     // Platform + workload + tolerances per the paper: Grid'5000 uses 20% and
@@ -41,6 +47,7 @@ fn main() {
     // short-scan YCSB mixes at the same scale.
     let workload = harness.apply_workload(workload);
     harness.banner(exp_id, &platform, &workload);
+    let shards = platform.cluster.shards;
 
     let experiment = Experiment::new(platform, workload)
         .with_clients(32)
@@ -107,5 +114,11 @@ fn main() {
         "\nHarmony adaptation trace (tight tolerance): {} level changes over {:.1} s",
         harmony_tight.level_timeline.len(),
         harmony_tight.makespan.as_secs_f64()
+    );
+    print_e2e_datapoint(
+        started,
+        results.reports.len(),
+        shards,
+        rayon::current_num_threads(),
     );
 }

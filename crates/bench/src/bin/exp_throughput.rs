@@ -24,6 +24,15 @@
 //!   `ANTI_ENTROPY_DATAPOINT` line reports ns per compared page and per
 //!   streamed record (the measurement's `ops` are compared pages, its
 //!   `events` streamed records);
+//! * `setup`: what every EXP-A1 grid point pays before its first simulated
+//!   op — EXP-A1's Grid'5000 platform (`--cluster-scale`, 21 nodes by
+//!   default) bulk-loaded with the slim paper workload's records at
+//!   `--scale` (capped at the 1% scale of the benchmark's `paper_sweep`,
+//!   150k records), plus the `CoreWorkload` construction and the ring's
+//!   placement lookup in isolation. Its `SETUP_DATAPOINT` line reports ns
+//!   per loaded record, ns per placement lookup and ms per workload
+//!   construction (the measurement's `ops` and `events` are the records
+//!   loaded, its time the load alone);
 //! * `sharded` (plain invocations only, i.e. without `--shards`): the
 //!   bulk workload re-run at shards 1, 2 and 4 **in one invocation** —
 //!   the pure engine-overhead curve — printing one greppable
@@ -55,13 +64,13 @@
 //! field; it is a record to compare against, not a file this binary
 //! overwrites.
 
-use concord_bench::{run_timed_grid, Harness};
+use concord_bench::{run_timed_grid, slim, Harness, Scale};
 use concord_cluster::{
-    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, Partitioner, RepairConfig, RepairMode,
-    ReplicaStore,
+    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, Key, Partitioner, RepairConfig, RepairMode,
+    ReplicaStore, Ring,
 };
 use concord_sim::{EventQueue, NodeId, ShardMetrics, SimDuration, SimRng, SimTime};
-use concord_workload::{ArrivalProcess, CoreWorkload, OperationType, WorkloadConfig};
+use concord_workload::{presets, ArrivalProcess, CoreWorkload, OperationType, WorkloadConfig};
 use std::time::Instant;
 
 /// One measured substrate.
@@ -150,12 +159,7 @@ fn bench_store(total_ops: u64) -> Measurement {
             }
             n if n % 2 == 1 => {
                 version += 1;
-                store.apply_write(
-                    key,
-                    concord_cluster::Version(version),
-                    1_000,
-                    SimTime::from_micros(i),
-                );
+                store.apply_write(key, concord_cluster::Version(version), 1_000);
             }
             _ => {
                 if let Some(v) = store.read(key) {
@@ -372,6 +376,65 @@ fn bench_sharded(
     m
 }
 
+/// Per-point set-up of a paper-shaped cluster, best of `repeat` runs per
+/// phase: bulk load (`Cluster::load_records`), placement lookups
+/// (`Ring::replicas_into` over the loaded keys) and workload construction
+/// (`CoreWorkload::new`). Prints the `SETUP_DATAPOINT` line; the returned
+/// measurement carries the load phase.
+fn bench_setup(scale: Scale, partitioner: Partitioner, repeat: u32) -> Measurement {
+    // At least a million lookups, so the placement timing is measurable.
+    const MIN_LOOKUPS: u64 = 1_000_000;
+    let workload = slim(presets::harmony_grid5000_workload(scale.workload.min(0.01)));
+    let mut cfg = concord::platforms::grid5000_harmony(scale.cluster).cluster;
+    cfg.partitioner = partitioner;
+    let records = workload.record_count;
+    let ring = Ring::new(
+        &cfg.topology,
+        cfg.replication_factor,
+        cfg.strategy,
+        cfg.vnodes,
+        partitioner,
+    );
+    let lookups = records.max(MIN_LOOKUPS);
+    let (mut load, mut placement, mut workload_new) = (f64::MAX, f64::MAX, f64::MAX);
+    for _ in 0..repeat {
+        let mut cluster = Cluster::new(cfg.clone(), 11);
+        let t0 = Instant::now();
+        cluster.load_records((0..records).map(|k| (k, workload.record_size())));
+        load = load.min(t0.elapsed().as_secs_f64());
+        drop(cluster);
+
+        let mut scratch = Vec::new();
+        let t0 = Instant::now();
+        for k in 0..lookups {
+            ring.replicas_into(Key(k % records), &mut scratch);
+            std::hint::black_box(&scratch);
+        }
+        placement = placement.min(t0.elapsed().as_secs_f64());
+
+        let t0 = Instant::now();
+        std::hint::black_box(CoreWorkload::new(workload.clone()));
+        workload_new = workload_new.min(t0.elapsed().as_secs_f64());
+    }
+    println!(
+        "SETUP_DATAPOINT {{\"records\":{records},\"nodes\":{},\"rf\":{},\
+         \"partitioner\":\"{}\",\"load_ns_per_record\":{:.1},\
+         \"placement_ns_per_lookup\":{:.2},\"workload_new_ms\":{:.3}}}",
+        cfg.topology.node_count(),
+        cfg.replication_factor,
+        partitioner.label(),
+        load * 1e9 / records as f64,
+        placement * 1e9 / lookups as f64,
+        workload_new * 1e3
+    );
+    Measurement {
+        name: "setup",
+        ops: records,
+        events: records,
+        elapsed_secs: load,
+    }
+}
+
 /// Best (highest events/sec) of `repeat` runs — wall-clock benchmarks on a
 /// shared machine are noisy, and the best run is the closest estimate of the
 /// code's actual cost.
@@ -394,6 +457,7 @@ enum Substrate {
     Cluster { ops: u64 },
     ClusterBulk { ops: u64 },
     AntiEntropy { rounds: u64 },
+    Setup,
     Sharded { ops: u64 },
 }
 
@@ -449,6 +513,7 @@ fn main() {
         Substrate::AntiEntropy {
             rounds: (cluster_ops / 2_000).max(2),
         },
+        Substrate::Setup,
     ];
     // The engine-overhead curve only belongs to plain invocations: with an
     // explicit `--shards N` the caller is already sweeping shard counts
@@ -470,6 +535,7 @@ fn main() {
             Substrate::AntiEntropy { rounds } => {
                 best_of(repeat, || bench_anti_entropy(rounds, partitioner, shards))
             }
+            Substrate::Setup => bench_setup(harness.scale, partitioner, repeat),
             // best_of lives inside: each shard count picks its own best
             // run, and the BARRIER_DATAPOINT lines print per shard count.
             Substrate::Sharded { ops } => bench_sharded(ops, partitioner, repeat, threads),

@@ -179,11 +179,7 @@
 //!   caller's own sentinel. Its users are the replica store
 //!   (`ReplicaStore`: presence = non-zero version, no extra bits), the
 //!   staleness oracle (per-slot binary-searched bounded version history,
-//!   vacancy = zero acked writes), the ring-placement cache
-//!   (`key → [NodeId; RF]` in RF lanes per slot, `u32::MAX` sentinel,
-//!   computed once per key per ring epoch, invalidated wholesale on
-//!   crash/recover reconfiguration), and the ordered partitioner's
-//!   per-slice range index (below). Direct indexing also makes YCSB-E
+//!   vacancy = zero acked writes). Direct indexing also makes YCSB-E
 //!   faithful: records adjacent in id are adjacent in memory, so a range
 //!   scan is one streaming pass over consecutive slots per contacted
 //!   replica (`ReplicaStore::read_range`) — metered as `scan_len` storage
@@ -209,9 +205,10 @@
 //!   `crates/cluster/tests/ordered_coverage.rs` and its own golden digest
 //!   (`golden_ordered_scan_run`). All pre-existing goldens are
 //!   byte-identical under the default `hash` mode.
-//! * **Per-operation work**: replica sets are written into reusable scratch
-//!   buffers (the placement cache falls back to `Ring::replicas_into`'s
-//!   flat sorted token walk on a cold key); read-replica selection ranks
+//! * **Per-operation work**: replica sets are copied into reusable scratch
+//!   buffers from the ring's placement table, which runs every distinct
+//!   placement walk once per ring epoch (one row per token or ordered start
+//!   node; a lookup is a binary search or a modulo); read-replica selection ranks
 //!   candidates via a precomputed coordinator→node mean-latency table; link
 //!   classes come from a precomputed `n × n` table; message and storage
 //!   delays are drawn through `CompiledDelay` samplers (validation and
@@ -410,6 +407,7 @@ pub use sweep::{
 };
 
 use concord_workload::WorkloadConfig;
+use std::time::Instant;
 
 /// Workload/cluster scale parsed from the command line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -471,6 +469,34 @@ pub fn slim(mut cfg: WorkloadConfig) -> WorkloadConfig {
     cfg.field_count = 1;
     cfg.field_length = 1_000;
     cfg
+}
+
+/// Peak resident set size of this process in MB (`VmHWM` in
+/// `/proc/self/status`), or `None` where the kernel does not report it.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
+/// Print a paper experiment's end-to-end `E2E_DATAPOINT` line: wall-clock
+/// since `started`, the grid points it simulated, the cluster's shard
+/// count, the sweep pool's size and the process's peak RSS (`null` where
+/// unavailable).
+pub fn print_e2e_datapoint(started: Instant, points: usize, shards: u32, threads: usize) {
+    let rss = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
+    println!(
+        "E2E_DATAPOINT {{\"wall_secs\":{:.3},\"points\":{points},\"shards\":{shards},\
+         \"threads\":{threads},\"peak_rss_mb\":{rss}}}",
+        started.elapsed().as_secs_f64()
+    );
 }
 
 /// Print a labelled paper-vs-measured comparison line.

@@ -89,7 +89,7 @@ use crate::config::ClusterConfig;
 use crate::consistency::ConsistencyLevel;
 use crate::metrics::ClusterMetrics;
 use crate::oracle::{OracleStats, StalenessOracle};
-use crate::paged::{PagedTable, PAGE_BITS, PAGE_SLOTS, PAGE_WORDS};
+use crate::paged::{PAGE_BITS, PAGE_SLOTS, PAGE_WORDS};
 use crate::ring::{Partitioner, Ring, ORDERED_SLICE_BITS};
 use crate::slab::OpSlab;
 use crate::storage::ReplicaStore;
@@ -500,86 +500,16 @@ struct NodeRuntime {
     queue: VecDeque<ReplicaTask>,
 }
 
-/// Paged direct-indexed cache of ring placements: `key → [NodeId; rf]`,
-/// stored in the shared [`PagedTable`] with `rf` lanes per key and
-/// `u32::MAX` in an entry's first lane marking "not yet computed".
-///
-/// Record ids are dense and the ring is immutable between crash/recover
-/// reconfigurations, so the placement walk (token walk for the hash
-/// partitioner, slice walk for the ordered one) runs **once per key per
-/// ring epoch** instead of once per operation — the steady-state lookup is
-/// a shift, a mask and an `rf`-element copy. Pages are allocated on first
-/// touch; entries are invalidated wholesale by [`ReplicaCache::reset`] when
-/// the ring changes. Each shard owns one (placement walks are pure, so
-/// duplicating the cache costs memory, never determinism).
-#[derive(Debug)]
-struct ReplicaCache {
-    /// `key → rf` node-id lanes; first lane `u32::MAX` = not yet computed.
-    table: PagedTable<u32>,
-    /// Replication factor of the current ring epoch (lane count).
-    rf: usize,
-}
-
-impl ReplicaCache {
-    fn new(rf: usize) -> Self {
-        ReplicaCache {
-            table: PagedTable::with_lanes(u32::MAX, rf.max(1)),
-            rf,
-        }
-    }
-
-    /// Drop every cached placement (the ring was rebuilt) and adopt the new
-    /// ring's effective replication factor.
-    fn reset(&mut self, rf: usize) {
-        self.table.reset(rf.max(1));
-        self.rf = rf;
-    }
-
-    /// Write the replicas of `key` into `out` (primary first), computing and
-    /// caching the placement on first touch.
-    #[inline]
-    fn replicas_into(&mut self, ring: &Ring, key: Key, out: &mut Vec<NodeId>) {
-        if self.rf == 0 {
-            // Fully crashed cluster: the ring maps every key to no replicas.
-            out.clear();
-            return;
-        }
-        // Ordered placement is constant across each ownership slice, so the
-        // cache is keyed per slice there — one entry instead of 4096
-        // identical per-key copies. Hash placement stays per-key.
-        let slot = match ring.partitioner() {
-            Partitioner::Hash => key.0,
-            Partitioner::Ordered => key.0 >> ORDERED_SLICE_BITS,
-        };
-        let entry = self.table.entry_mut(slot);
-        if entry[0] != u32::MAX {
-            out.clear();
-            out.extend(entry.iter().map(|&n| NodeId(n)));
-            return;
-        }
-        ring.replicas_into(key, out);
-        debug_assert_eq!(out.len(), self.rf, "the ring yields exactly RF replicas");
-        if out.len() == self.rf {
-            for (slot, node) in entry.iter_mut().zip(out.iter()) {
-                *slot = node.0;
-            }
-        }
-    }
-}
-
 /// Per-(page, node) ownership bitmaps of the current ring epoch — the
 /// receiver-side mask of an anti-entropy page diff: bit `i` of
 /// `pages[page][node]` is set iff `node` replicates key
 /// `(page << PAGE_BITS) + i`. A page's maps (every node's at once) are built
-/// from the control [`ReplicaCache`] the first time the page is diffed in an
-/// epoch, and dropped by [`OwnershipMaps::reset`] alongside the cache when
-/// the ring changes.
+/// from the ring's placement table the first time the page is diffed in an
+/// epoch, and dropped by [`OwnershipMaps::reset`] when the ring changes.
 #[derive(Debug, Default)]
 struct OwnershipMaps {
     /// Per page: one bitmap per node; empty until built this epoch.
     pages: Vec<Vec<[u64; PAGE_WORDS]>>,
-    /// Replica list scratch for the build walk.
-    members: Vec<NodeId>,
 }
 
 impl OwnershipMaps {
@@ -594,7 +524,6 @@ impl OwnershipMaps {
     /// page's maps for all `nodes` on first use this epoch.
     fn page_mask(
         &mut self,
-        cache: &mut ReplicaCache,
         ring: &Ring,
         nodes: usize,
         page: usize,
@@ -608,8 +537,7 @@ impl OwnershipMaps {
             maps.resize(nodes, [0; PAGE_WORDS]);
             let base = (page as u64) << PAGE_BITS;
             for slot in 0..PAGE_SLOTS {
-                cache.replicas_into(ring, Key(base + slot as u64), &mut self.members);
-                for member in &self.members {
+                for member in ring.placement(Key(base + slot as u64)) {
                     maps[member.0 as usize][slot / 64] |= 1 << (slot % 64);
                 }
             }
@@ -848,8 +776,6 @@ struct ShardState {
     write_payloads: Vec<PayloadSlot>,
     payload_free: Vec<PayloadId>,
     payload_live: usize,
-    /// Dense per-key cache of ring placements (reset on ring rebuilds).
-    replica_cache: ReplicaCache,
     /// Scratch buffer for replica lists; reused across operations.
     replica_scratch: Vec<NodeId>,
     /// Outputs produced this window, drained at the window close.
@@ -920,11 +846,8 @@ struct ControlState {
     sweep_idle_rounds: u32,
     /// Scratch for one page's streamed records during an anti-entropy diff.
     repair_page_scratch: Vec<(Key, Version, u32)>,
-    /// Placement cache for control-plane ring walks (repair ownership
-    /// maps, bulk-load placement).
-    replica_cache: ReplicaCache,
     /// Per-(page, node) ownership bitmaps masking anti-entropy page diffs
-    /// (reset on ring rebuilds, like the cache they are built from).
+    /// (reset on ring rebuilds).
     ownership: OwnershipMaps,
     /// The ground-truth staleness oracle. One central instance, untouched
     /// while windows run and mutated only at serial points: preloads
@@ -962,8 +885,8 @@ pub struct Cluster {
     clock: SimTime,
     outputs: VecDeque<ClusterOutput>,
     propagation_samples: Vec<SimDuration>,
-    /// Scratch for bulk-load placement walks and up-node coordinator draws
-    /// at serial points (submission, resubmission folds).
+    /// Scratch for up-node coordinator draws at serial points (submission,
+    /// resubmission folds).
     home_scratch: Vec<NodeId>,
     /// Synchronization counters (reported as zero with one shard, which
     /// has no peers to synchronize with; see [`Cluster::shard_metrics`]).
@@ -1285,7 +1208,6 @@ impl Cluster {
             }
             metrics
         };
-        let effective_rf = ring.replication_factor() as usize;
         let node_dc: Vec<DcId> = config
             .topology
             .nodes()
@@ -1316,7 +1238,6 @@ impl Cluster {
                 write_payloads: Vec::new(),
                 payload_free: Vec::new(),
                 payload_live: 0,
-                replica_cache: ReplicaCache::new(effective_rf),
                 replica_scratch: Vec::with_capacity(config.replication_factor as usize),
                 outputs: Vec::new(),
                 propagation: Vec::new(),
@@ -1341,7 +1262,6 @@ impl Cluster {
             sweep_streamed: false,
             sweep_idle_rounds: 0,
             repair_page_scratch: Vec::new(),
-            replica_cache: ReplicaCache::new(effective_rf),
             ownership: OwnershipMaps::default(),
             oracle: StalenessOracle::new(),
         };
@@ -1379,7 +1299,7 @@ impl Cluster {
             clock: SimTime::ZERO,
             outputs: VecDeque::new(),
             propagation_samples: Vec::new(),
-            home_scratch: Vec::with_capacity(effective_rf.max(1)),
+            home_scratch: Vec::new(),
             sync: ShardMetrics::default(),
             fold_outputs: Vec::new(),
             pending_acks: Vec::new(),
@@ -1775,13 +1695,8 @@ impl Cluster {
             |n| crashed[n.0 as usize],
         );
         self.shared.crashed = crashed;
-        // Ownership moved: every cached placement is stale. (The home-shard
-        // cache is NOT reset — op routing is sticky by design.)
-        let rf = self.shared.ring.replication_factor() as usize;
-        for s in &mut self.shard_states {
-            s.replica_cache.reset(rf);
-        }
-        self.ctrl.replica_cache.reset(rf);
+        // Ownership moved: the new ring carries its own placement table, but
+        // the repair plane's ownership bitmaps were built from the old one.
         self.ctrl.ownership.reset();
     }
 
@@ -1911,15 +1826,10 @@ impl Cluster {
         let version = Version(1);
         for (key, size) in records {
             let key = Key(key);
-            let mut replicas = std::mem::take(&mut self.home_scratch);
-            self.ctrl
-                .replica_cache
-                .replicas_into(&self.shared.ring, key, &mut replicas);
-            for &node in &replicas {
+            for &node in self.shared.ring.placement(key) {
                 let dest = self.shared.shard_of(node);
                 self.shard_states[dest].stores[node.0 as usize].preload(key, version, size);
             }
-            self.home_scratch = replicas;
             self.ctrl.oracle.preload(key, version);
         }
     }
@@ -2708,13 +2618,11 @@ impl Cluster {
     fn stream_page_diff(&mut self, now: SimTime, from: NodeId, to: NodeId, page: usize) -> u64 {
         let mut records = std::mem::take(&mut self.ctrl.repair_page_scratch);
         records.clear();
-        let mask = *self.ctrl.ownership.page_mask(
-            &mut self.ctrl.replica_cache,
-            &self.shared.ring,
-            self.shared.node_count,
-            page,
-            to,
-        );
+        let mask =
+            *self
+                .ctrl
+                .ownership
+                .page_mask(&self.shared.ring, self.shared.node_count, page, to);
         self.store(from)
             .newer_in_page(self.store(to), page, &mask, &mut records);
         for &(key, version, size) in &records {
@@ -2951,9 +2859,7 @@ impl ShardCtx<'_> {
         let required_acks = self.shared.config.required_acks(level);
         let version = self.s.alloc_version_at(now);
         let mut replicas = std::mem::take(&mut self.s.replica_scratch);
-        self.s
-            .replica_cache
-            .replicas_into(&self.shared.ring, sub.key, &mut replicas);
+        self.shared.ring.replicas_into(sub.key, &mut replicas);
         let mut targeted = 0u32;
 
         // One interned payload serves the whole local fan-out: the scheduled
@@ -3078,9 +2984,9 @@ impl ShardCtx<'_> {
                 scan_len
             };
             let segment = u16::try_from(segments).expect("a scan spans at most 2^16 segments");
-            self.s
-                .replica_cache
-                .replicas_into(&self.shared.ring, Key(seg_start), &mut replicas);
+            self.shared
+                .ring
+                .replicas_into(Key(seg_start), &mut replicas);
             self.select_read_replicas(now, coordinator, &mut replicas, required as usize);
             for (i, &replica) in replicas.iter().enumerate() {
                 let delay = self.account_message(
@@ -3183,9 +3089,7 @@ impl ShardCtx<'_> {
             _ => return,
         };
         let mut replicas = std::mem::take(&mut self.s.replica_scratch);
-        self.s
-            .replica_cache
-            .replicas_into(&self.shared.ring, key, &mut replicas);
+        self.shared.ring.replicas_into(key, &mut replicas);
         let dynamic = self.shared.selection == ReplicaSelection::Dynamic;
         let row = &self.shared.mean_lat[coordinator.0 as usize * self.shared.node_count..]
             [..self.shared.node_count];
@@ -3412,7 +3316,7 @@ impl ShardCtx<'_> {
                     repair,
                     coordinator,
                 } = self.s.release_payload(payload);
-                self.s.stores[idx].apply_write(key, version, size, now);
+                self.s.stores[idx].apply_write(key, version, size);
                 self.s.metrics.storage_write_ops += 1;
                 if repair {
                     return; // background repair: no coordinator ack
@@ -5367,7 +5271,6 @@ mod tests {
                             Key(k),
                             Version(version),
                             100,
-                            SimTime::ZERO,
                         );
                     }
                 };

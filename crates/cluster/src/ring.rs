@@ -15,10 +15,7 @@
 //!   a node owns contiguous key ranges (Cassandra's ordered partitioner).
 //!   Range scans are coverage-faithful: the owners of a slice hold *every*
 //!   record in it, and a scan that straddles a slice boundary gathers the
-//!   remainder from the next slice's owners. Computed placements are
-//!   memoized per slice in a [`PagedTable`] range index (the fourth user of
-//!   the shared paged substrate), invalidated wholesale when the ring is
-//!   rebuilt.
+//!   remainder from the next slice's owners.
 //!
 //! On top of either partitioner, two placement strategies are provided:
 //!
@@ -28,13 +25,24 @@
 //!   datacenters as evenly as possible (Cassandra's
 //!   `NetworkTopologyStrategy`), which is how the paper deploys Cassandra
 //!   over two availability zones / two Grid'5000 sites.
+//!
+//! ## Placement table
+//!
+//! A walk's result depends only on where it starts, and a ring has few
+//! starting points: a key's clockwise walk starts at the first token at or
+//! after the key's token, and an ordered slice's walk starts at node
+//! `slice % node_count`. So a [`Ring`] runs every distinct walk once, when
+//! it is built, and keeps the results as a table of `RF` node ids per start
+//! — one row per token (hash) or per node (ordered). A lookup is then a
+//! hash plus a binary search over the tokens (hash) or a modulo (ordered),
+//! followed by an `RF`-element copy. The ring is immutable between
+//! crash/recover reconfigurations, which build a new ring, so the table
+//! never needs invalidating.
 
-use crate::paged::PagedTable;
 use crate::types::Key;
 use concord_sim::{DcId, InlineVec, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// How keys are mapped to owning nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -86,13 +94,6 @@ pub const ORDERED_SLICE_BITS: u32 = 12;
 /// Number of consecutive keys in one ordered-partitioner slice.
 pub const ORDERED_SLICE_KEYS: u64 = 1 << ORDERED_SLICE_BITS;
 
-/// Slices the ordered partitioner's range index memoizes (2^22 slices =
-/// 2^34 keys, far beyond any dense-contract record count). Probing a slice
-/// past this bound — arbitrary keys from tests or tools — computes the
-/// placement without caching, so the direct-indexed memo can never be blown
-/// up by one stray sparse key.
-const MEMOIZED_SLICES: u64 = 1 << 22;
-
 /// 64-bit mixer used as the ring hash (SplitMix64 finalizer — well-spread,
 /// deterministic, dependency-free).
 #[inline]
@@ -103,57 +104,24 @@ fn ring_hash(value: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The ordered partitioner's state: which nodes are in the ring, plus the
-/// per-slice range index memoizing computed placements.
-#[derive(Debug)]
-struct OrderedIndex {
-    /// `alive[node_id]` — false for nodes withdrawn from the ring. Slices of
-    /// a withdrawn node fall to the next alive node in id order, so
-    /// survivors keep their ranges across reconfigurations (mirroring the
-    /// token ring's stable-token property).
-    alive: Vec<bool>,
-    /// The per-slice range index: `slice → [node; RF]` with `u32::MAX` as
-    /// the not-yet-computed sentinel, RF lanes per slot. A [`PagedTable`]
-    /// like every other dense-key table; rebuilt rings start a fresh index.
-    /// Interior-mutable because placement lookups go through `&Ring`; a
-    /// `Mutex` (not `RefCell`) because the ring is shared read-only across
-    /// shard handlers inside a parallel window, and a first-touch lookup
-    /// fills the memo. The memoized entry is a pure function of the ring,
-    /// so fill order across threads never changes a lookup's result — the
-    /// lock only serializes the memo write, and steady-state lookups hit
-    /// the per-shard [`ReplicaCache`](crate::cluster) first anyway.
-    range_index: Mutex<PagedTable<u32>>,
-}
-
-impl Clone for OrderedIndex {
-    fn clone(&self) -> Self {
-        OrderedIndex {
-            alive: self.alive.clone(),
-            range_index: Mutex::new(self.range_index.lock().expect("range index lock").clone()),
-        }
-    }
-}
-
-/// The partitioner state plus placement configuration.
-///
-/// For the hash partitioner, tokens are kept in a flat sorted array: a
-/// replica lookup is one binary search plus a clockwise walk over contiguous
-/// memory, instead of a B-tree range traversal — this lookup runs once per
-/// simulated write *and* read, so it is squarely on the hot path. The
-/// ordered partitioner keeps no tokens; its lookup is a shift plus a memo
-/// probe of the range index.
+/// The partitioner state plus the placement table of one ring epoch (see the
+/// module docs). Tokens are a flat sorted array, so the hash lookup is one
+/// binary search over contiguous memory; the ordered partitioner keeps no
+/// tokens.
 #[derive(Debug, Clone)]
 pub struct Ring {
-    /// `(token, owning node)`, sorted by token (hash partitioner only).
-    tokens: Vec<(u64, NodeId)>,
-    /// Ordered-partitioner state; `None` under [`Partitioner::Hash`].
-    ordered: Option<OrderedIndex>,
+    /// Sorted vnode tokens (hash partitioner only): row `i` of `table` holds
+    /// the replicas of every key whose token falls in
+    /// `(tokens[i - 1], tokens[i]]`, wrapping at both ends.
+    tokens: Vec<u64>,
+    /// `replication_factor` node ids per row, primary first: one row per
+    /// token (hash) or per walk start node (ordered).
+    table: Vec<NodeId>,
+    /// Nodes of the topology, crashed ones included (the ordered row count).
+    node_count: usize,
     partitioner: Partitioner,
     replication_factor: u32,
     strategy: ReplicationStrategy,
-    /// Node → datacenter, copied from the topology for placement decisions.
-    node_dc: Vec<DcId>,
-    dc_count: usize,
 }
 
 impl Ring {
@@ -203,45 +171,60 @@ impl Ring {
         excluded: impl Fn(NodeId) -> bool,
     ) -> Self {
         assert!(vnodes >= 1);
-        // Build through a BTreeMap to keep the original "last writer wins on
-        // token collision" semantics, then flatten to a sorted array.
-        let mut token_map = BTreeMap::new();
-        let mut alive_flags = vec![false; topology.node_count()];
-        let mut alive = 0u32;
-        for node in topology.nodes() {
-            if excluded(node) {
-                continue;
+        let node_count = topology.node_count();
+        let alive: Vec<bool> = topology.nodes().map(|n| !excluded(n)).collect();
+        let rf = (replication_factor as usize).min(alive.iter().filter(|&&a| a).count());
+        let placer = Placer {
+            strategy,
+            node_dc: topology.nodes().map(|n| topology.dc_of(n)).collect(),
+            dc_count: topology.dc_count(),
+            rf,
+        };
+        let mut tokens = Vec::new();
+        let mut table = Vec::new();
+        match partitioner {
+            Partitioner::Hash => {
+                // Build through a BTreeMap to keep the original "last writer
+                // wins on token collision" semantics, then flatten.
+                let mut token_map = BTreeMap::new();
+                for node in topology.nodes().filter(|n| alive[n.0 as usize]) {
+                    for v in 0..vnodes {
+                        // Tokens depend only on (node, vnode), so the
+                        // surviving nodes keep their positions across
+                        // reconfigurations.
+                        let token = ring_hash(((node.0 as u64) << 32) ^ (v as u64) ^ 0xA5A5_5A5A);
+                        token_map.insert(token, node);
+                    }
+                }
+                let owners: Vec<NodeId> = token_map.values().copied().collect();
+                tokens = token_map.into_keys().collect();
+                if rf > 0 {
+                    // Row i: the clockwise walk starting at token i.
+                    for start in 0..owners.len() {
+                        let walk = owners[start..].iter().chain(&owners[..start]).copied();
+                        placer.fill_row(walk, &mut table);
+                    }
+                }
             }
-            alive += 1;
-            alive_flags[node.0 as usize] = true;
-            for v in 0..vnodes {
-                // Derive deterministic, well-spread tokens per (node, vnode).
-                // Tokens depend only on (node, vnode), so the surviving
-                // nodes keep their positions across reconfigurations.
-                let token = ring_hash(((node.0 as u64) << 32) ^ (v as u64) ^ 0xA5A5_5A5A);
-                token_map.insert(token, node);
+            Partitioner::Ordered => {
+                if rf > 0 {
+                    // Row s: the id-order walk over alive nodes from node s.
+                    for start in 0..node_count {
+                        let walk = (start..start + node_count)
+                            .map(|i| NodeId((i % node_count) as u32))
+                            .filter(|n| alive[n.0 as usize]);
+                        placer.fill_row(walk, &mut table);
+                    }
+                }
             }
         }
-        let node_dc = topology.nodes().map(|n| topology.dc_of(n)).collect();
-        let replication_factor = replication_factor.min(alive);
-        let ordered = match partitioner {
-            Partitioner::Hash => None,
-            Partitioner::Ordered => Some(OrderedIndex {
-                alive: alive_flags,
-                range_index: Mutex::new(PagedTable::with_lanes(
-                    u32::MAX,
-                    (replication_factor as usize).max(1),
-                )),
-            }),
-        };
         Ring {
-            tokens: token_map.into_iter().collect(),
-            ordered,
+            tokens,
+            table,
+            node_count,
             partitioner,
-            replication_factor,
+            replication_factor: rf as u32,
             strategy,
-            node_dc,
-            dc_count: topology.dc_count(),
         }
     }
 
@@ -273,101 +256,92 @@ impl Ring {
         ring_hash(key.0 ^ 0x5117_BEEF_0000_0001)
     }
 
+    /// The replica nodes of `key` (primary first), borrowed from the
+    /// placement table: exactly [`Ring::replication_factor`] distinct nodes,
+    /// none for a fully crashed cluster.
+    #[inline]
+    pub fn placement(&self, key: Key) -> &[NodeId] {
+        let rf = self.replication_factor as usize;
+        if rf == 0 {
+            return &[]; // fully crashed cluster
+        }
+        let row = match self.partitioner {
+            Partitioner::Hash => {
+                // A token past the last one wraps to the first.
+                let token = self.token_of(key);
+                let at = self.tokens.partition_point(|&t| t < token);
+                if at == self.tokens.len() {
+                    0
+                } else {
+                    at
+                }
+            }
+            Partitioner::Ordered => (Self::slice_of(key) % self.node_count as u64) as usize,
+        };
+        &self.table[row * rf..][..rf]
+    }
+
     /// The ordered list of replica nodes for `key` (primary first).
     pub fn replicas(&self, key: Key) -> Vec<NodeId> {
-        let mut replicas = Vec::with_capacity(self.replication_factor as usize);
-        self.replicas_into(key, &mut replicas);
-        replicas
+        self.placement(key).to_vec()
     }
 
     /// Fill `replicas` with the ordered replica nodes for `key` (primary
-    /// first) without allocating: the hot-path variant of
-    /// [`Ring::replicas`] — callers keep a scratch buffer alive across
+    /// first) without allocating: callers keep a scratch buffer alive across
     /// operations.
+    #[inline]
     pub fn replicas_into(&self, key: Key, replicas: &mut Vec<NodeId>) {
-        match self.partitioner {
-            Partitioner::Hash => self.hash_replicas_into(key, replicas),
-            Partitioner::Ordered => self.ordered_replicas_into(Self::slice_of(key), replicas),
-        }
+        replicas.clear();
+        replicas.extend_from_slice(self.placement(key));
     }
 
-    /// Hash-partitioner placement: binary-search the key's token, walk the
-    /// ring clockwise.
-    fn hash_replicas_into(&self, key: Key, replicas: &mut Vec<NodeId>) {
-        replicas.clear();
-        let token = self.token_of(key);
-        let rf = self.replication_factor as usize;
-
-        // Walk the ring clockwise starting at the key's token, wrapping.
-        let start = self.tokens.partition_point(|&(t, _)| t < token);
-        let walk = self.tokens[start..]
-            .iter()
-            .chain(self.tokens[..start].iter())
-            .map(|&(_, node)| node);
-        self.fill_replicas(walk, rf, replicas);
+    /// The primary replica for `key`.
+    pub fn primary(&self, key: Key) -> NodeId {
+        self.placement(key)[0]
     }
 
-    /// Ordered-partitioner placement: every key of a slice maps to the same
-    /// replica set — primary = the first alive node at or after
-    /// `slice % node_count` in id order, the rest following in walk order
-    /// (with the same DC balancing as the hash walk). Memoized per slice in
-    /// the range index.
-    fn ordered_replicas_into(&self, slice: u64, replicas: &mut Vec<NodeId>) {
-        replicas.clear();
-        let rf = self.replication_factor as usize;
-        if rf == 0 {
-            return; // fully crashed cluster
-        }
-        let index = self
-            .ordered
-            .as_ref()
-            .expect("ordered partitioner state exists");
-        // The range index is direct-indexed by slice, so it only memoizes
-        // the dense-contract key space; a probe far outside it (arbitrary
-        // keys in tests/tools) is computed without caching instead of
-        // materializing page pointers up to that slice.
-        let memoize = slice < MEMOIZED_SLICES;
-        if memoize {
-            let memo = index.range_index.lock().expect("range index lock");
-            if let Some(entry) = memo.entry(slice) {
-                if entry[0] != u32::MAX {
-                    replicas.extend(entry.iter().map(|&n| NodeId(n)));
-                    return;
-                }
+    /// Approximate ownership fraction of each node (share of sampled keys for
+    /// which the node is a replica). Used by tests and capacity planning.
+    pub fn ownership(&self, sample_keys: u64) -> BTreeMap<NodeId, f64> {
+        let mut counts: BTreeMap<NodeId, u64> = BTreeMap::new();
+        for k in 0..sample_keys {
+            for &node in self.placement(Key(k)) {
+                *counts.entry(node).or_insert(0) += 1;
             }
         }
-        let total = index.alive.len();
-        let start = (slice % total as u64) as usize;
-        let walk = (start..start + total)
-            .map(|i| NodeId((i % total) as u32))
-            .filter(|n| index.alive[n.0 as usize]);
-        self.fill_replicas(walk, rf, replicas);
-        debug_assert_eq!(replicas.len(), rf, "placement yields exactly RF nodes");
-        if memoize && replicas.len() == rf {
-            let mut memo = index.range_index.lock().expect("range index lock");
-            let entry = memo.entry_mut(slice);
-            for (slot, node) in entry.iter_mut().zip(replicas.iter()) {
-                *slot = node.0;
-            }
-        }
+        let total = (sample_keys * self.replication_factor as u64).max(1) as f64;
+        counts
+            .into_iter()
+            .map(|(n, c)| (n, c as f64 / total))
+            .collect()
     }
+}
 
-    /// Take the first `rf` distinct replicas from a node walk, applying the
-    /// configured placement strategy. Shared by both partitioners — the
-    /// hash partitioner feeds it the clockwise token walk, the ordered one
-    /// the id-order walk from a slice's primary position.
-    fn fill_replicas(
-        &self,
-        walk: impl Iterator<Item = NodeId>,
-        rf: usize,
-        replicas: &mut Vec<NodeId>,
-    ) {
+/// What a placement walk needs besides the walk itself; lives only while a
+/// [`Ring`] builds its table.
+struct Placer {
+    strategy: ReplicationStrategy,
+    /// Node → datacenter, for the NetworkTopology quotas.
+    node_dc: Vec<DcId>,
+    dc_count: usize,
+    /// Effective replication factor (≥ 1 whenever a row is filled).
+    rf: usize,
+}
+
+impl Placer {
+    /// Append one table row: the first `rf` distinct replicas of a node
+    /// walk, applying the placement strategy. Shared by both partitioners —
+    /// the hash partitioner feeds it the clockwise token walk, the ordered
+    /// one the id-order walk from a slice's primary position.
+    fn fill_row(&self, walk: impl Iterator<Item = NodeId>, table: &mut Vec<NodeId>) {
+        let row_start = table.len();
+        let rf = self.rf;
         match self.strategy {
             ReplicationStrategy::Simple => {
                 for node in walk {
-                    if !replicas.contains(&node) {
-                        replicas.push(node);
-                        if replicas.len() == rf {
+                    if !table[row_start..].contains(&node) {
+                        table.push(node);
+                        if table.len() - row_start == rf {
                             break;
                         }
                     }
@@ -376,16 +350,14 @@ impl Ring {
             ReplicationStrategy::NetworkTopology => {
                 // Spread replicas over DCs: allow a DC to take another
                 // replica only when its share is below its even allotment.
-                // Both side tables live on the stack (spilling only for
-                // degenerate topologies) — no allocation per lookup.
                 let dc_quota = rf.div_ceil(self.dc_count);
                 let mut per_dc_count: InlineVec<(u16, u32)> = InlineVec::new();
                 let mut skipped: InlineVec<u32> = InlineVec::new();
                 for node in walk {
-                    if replicas.len() == rf {
+                    if table.len() - row_start == rf {
                         break;
                     }
-                    if replicas.contains(&node) {
+                    if table[row_start..].contains(&node) {
                         continue;
                     }
                     let dc = self.node_dc[node.0 as usize].0;
@@ -406,7 +378,7 @@ impl Ring {
                         taken = true;
                     }
                     if taken {
-                        replicas.push(node);
+                        table.push(node);
                     } else if !skipped.iter().any(|&n| n == node.0) {
                         skipped.push(node.0);
                     }
@@ -414,37 +386,21 @@ impl Ring {
                 // If quotas could not be met (e.g. a tiny DC), fill from the
                 // skipped nodes in ring order.
                 for &node in skipped.iter() {
-                    if replicas.len() == rf {
+                    if table.len() - row_start == rf {
                         break;
                     }
                     let node = NodeId(node);
-                    if !replicas.contains(&node) {
-                        replicas.push(node);
+                    if !table[row_start..].contains(&node) {
+                        table.push(node);
                     }
                 }
             }
         }
-    }
-
-    /// The primary replica for `key`.
-    pub fn primary(&self, key: Key) -> NodeId {
-        self.replicas(key)[0]
-    }
-
-    /// Approximate ownership fraction of each node (share of sampled keys for
-    /// which the node is a replica). Used by tests and capacity planning.
-    pub fn ownership(&self, sample_keys: u64) -> BTreeMap<NodeId, f64> {
-        let mut counts: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for k in 0..sample_keys {
-            for node in self.replicas(Key(k)) {
-                *counts.entry(node).or_insert(0) += 1;
-            }
-        }
-        let total = (sample_keys * self.replication_factor as u64).max(1) as f64;
-        counts
-            .into_iter()
-            .map(|(n, c)| (n, c as f64 / total))
-            .collect()
+        assert_eq!(
+            table.len() - row_start,
+            rf,
+            "placement yields exactly RF nodes"
+        );
     }
 }
 

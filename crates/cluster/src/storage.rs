@@ -56,13 +56,11 @@
 
 use crate::paged::{PagedTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS, PAGE_WORDS};
 use crate::types::{Key, StoredValue, Version};
-use concord_sim::SimTime;
 
 /// A vacant slot: version 0 ([`Version::NONE`]) marks absence.
 const EMPTY_SLOT: StoredValue = StoredValue {
     version: Version::NONE,
     size: 0,
-    applied_at: SimTime::ZERO,
 };
 
 /// Aggregate result of one range read (see [`ReplicaStore::read_range`]).
@@ -192,7 +190,7 @@ impl ReplicaStore {
 
     /// Apply a write. Returns `true` if the value was installed, `false` if a
     /// newer version was already present (last-write-wins).
-    pub fn apply_write(&mut self, key: Key, version: Version, size: u32, at: SimTime) -> bool {
+    pub fn apply_write(&mut self, key: Key, version: Version, size: u32) -> bool {
         debug_assert!(version.exists(), "writes carry a real (non-zero) version");
         self.write_ops += 1;
         let slot = self.table.get_mut(key.0);
@@ -210,11 +208,7 @@ impl ReplicaStore {
             self.keys += 1;
             self.bytes_stored += size as u64;
         }
-        *slot = StoredValue {
-            version,
-            size,
-            applied_at: at,
-        };
+        *slot = StoredValue { version, size };
         if self.summaries_enabled {
             self.update_summary(key, version, old_version);
         }
@@ -235,11 +229,7 @@ impl ReplicaStore {
             self.keys += 1;
             self.bytes_stored += size as u64;
         }
-        *slot = StoredValue {
-            version,
-            size,
-            applied_at: SimTime::ZERO,
-        };
+        *slot = StoredValue { version, size };
         if self.summaries_enabled {
             self.update_summary(key, version, old_version);
         }
@@ -383,10 +373,10 @@ mod tests {
     #[test]
     fn writes_install_newest_version() {
         let mut s = ReplicaStore::new();
-        assert!(s.apply_write(Key(1), Version(1), 100, SimTime::from_secs(1)));
-        assert!(s.apply_write(Key(1), Version(3), 100, SimTime::from_secs(2)));
+        assert!(s.apply_write(Key(1), Version(1), 100));
+        assert!(s.apply_write(Key(1), Version(3), 100));
         // An older (late) version must not overwrite a newer one.
-        assert!(!s.apply_write(Key(1), Version(2), 100, SimTime::from_secs(3)));
+        assert!(!s.apply_write(Key(1), Version(2), 100));
         assert_eq!(s.peek(Key(1)).unwrap().version, Version(3));
         assert_eq!(s.superseded_writes(), 1);
         assert_eq!(s.write_ops(), 3);
@@ -395,11 +385,11 @@ mod tests {
     #[test]
     fn bytes_stored_tracks_value_sizes() {
         let mut s = ReplicaStore::new();
-        s.apply_write(Key(1), Version(1), 100, SimTime::ZERO);
-        s.apply_write(Key(2), Version(2), 50, SimTime::ZERO);
+        s.apply_write(Key(1), Version(1), 100);
+        s.apply_write(Key(2), Version(2), 50);
         assert_eq!(s.bytes_stored(), 150);
         // Overwriting key 1 with a larger value adjusts the total.
-        s.apply_write(Key(1), Version(3), 300, SimTime::ZERO);
+        s.apply_write(Key(1), Version(3), 300);
         assert_eq!(s.bytes_stored(), 350);
         assert_eq!(s.key_count(), 2);
     }
@@ -418,8 +408,8 @@ mod tests {
     #[test]
     fn equal_version_does_not_reinstall() {
         let mut s = ReplicaStore::new();
-        assert!(s.apply_write(Key(1), Version(5), 10, SimTime::ZERO));
-        assert!(!s.apply_write(Key(1), Version(5), 10, SimTime::ZERO));
+        assert!(s.apply_write(Key(1), Version(5), 10));
+        assert!(!s.apply_write(Key(1), Version(5), 10));
     }
 
     #[test]
@@ -435,12 +425,7 @@ mod tests {
     #[test]
     fn sparse_high_keys_allocate_only_their_page() {
         let mut s = ReplicaStore::new();
-        s.apply_write(
-            Key(5 * PAGE_SLOTS as u64 + 3),
-            Version(1),
-            10,
-            SimTime::ZERO,
-        );
+        s.apply_write(Key(5 * PAGE_SLOTS as u64 + 3), Version(1), 10);
         assert_eq!(s.key_count(), 1);
         assert_eq!(s.table.allocated_pages(), 1);
         // Reading unwritten pages allocates nothing.
@@ -500,20 +485,20 @@ mod tests {
         assert_eq!(a.page_digest(0), 0, "untouched pages read as zero");
         assert_eq!(a.summary_pages(), 0);
         // Same final contents through different histories ⇒ same digest.
-        a.apply_write(Key(1), Version(1), 10, SimTime::ZERO);
-        a.apply_write(Key(1), Version(4), 10, SimTime::ZERO);
-        a.apply_write(Key(2), Version(2), 10, SimTime::ZERO);
+        a.apply_write(Key(1), Version(1), 10);
+        a.apply_write(Key(1), Version(4), 10);
+        a.apply_write(Key(2), Version(2), 10);
         b.preload(Key(2), Version(2), 10);
-        b.apply_write(Key(1), Version(4), 10, SimTime::ZERO);
+        b.apply_write(Key(1), Version(4), 10);
         assert_eq!(a.page_digest(0), b.page_digest(0));
         // Diverging one key splits the digests; re-converging re-joins them.
-        a.apply_write(Key(2), Version(9), 10, SimTime::ZERO);
+        a.apply_write(Key(2), Version(9), 10);
         assert_ne!(a.page_digest(0), b.page_digest(0));
-        b.apply_write(Key(2), Version(9), 10, SimTime::ZERO);
+        b.apply_write(Key(2), Version(9), 10);
         assert_eq!(a.page_digest(0), b.page_digest(0));
         // A superseded write changes nothing, digest included.
         let before = a.page_digest(0);
-        assert!(!a.apply_write(Key(2), Version(5), 10, SimTime::ZERO));
+        assert!(!a.apply_write(Key(2), Version(5), 10));
         assert_eq!(a.page_digest(0), before);
         // Pages are independent.
         a.preload(Key(PAGE_SLOTS as u64 + 7), Version(1), 10);
@@ -525,7 +510,7 @@ mod tests {
     #[test]
     fn default_stores_maintain_no_summaries() {
         let mut s = ReplicaStore::new();
-        s.apply_write(Key(1), Version(1), 10, SimTime::ZERO);
+        s.apply_write(Key(1), Version(1), 10);
         s.preload(Key(2), Version(2), 10);
         assert_eq!(s.summary_pages(), 0, "no digest vector is ever grown");
         assert_eq!(s.page_digest(0), 0);
@@ -581,8 +566,8 @@ mod tests {
     fn occupancy_bits_track_first_occupancy_only() {
         let mut s = ReplicaStore::with_summaries();
         let last = PAGE_SLOTS as u64 - 1;
-        s.apply_write(Key(last), Version(1), 10, SimTime::ZERO);
-        s.apply_write(Key(last), Version(2), 10, SimTime::ZERO);
+        s.apply_write(Key(last), Version(1), 10);
+        s.apply_write(Key(last), Version(2), 10);
         s.preload(Key(64), Version(3), 10);
         assert_eq!(s.page_summaries[0].occupied[PAGE_WORDS - 1], 1 << 63);
         assert_eq!(s.page_summaries[0].occupied[1], 1);

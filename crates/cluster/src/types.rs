@@ -48,15 +48,14 @@ pub enum OpKind {
     Write,
 }
 
-/// The value stored for a key on one replica.
+/// The value stored for a key on one replica: one 16-byte slot of a
+/// [`ReplicaStore`](crate::ReplicaStore) page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoredValue {
     /// Version of the most recent write applied on this replica.
     pub version: Version,
     /// Payload size in bytes.
     pub size: u32,
-    /// Simulated time at which the write was applied here.
-    pub applied_at: SimTime,
 }
 
 /// Outcome status of a completed client operation.

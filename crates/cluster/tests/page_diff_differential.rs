@@ -14,7 +14,7 @@
 
 use concord_cluster::paged::{PAGE_SLOTS, PAGE_WORDS};
 use concord_cluster::{Key, Partitioner, ReplicaStore, ReplicationStrategy, Ring, Version};
-use concord_sim::{NodeId, RegionId, SimRng, SimTime, Topology};
+use concord_sim::{NodeId, RegionId, SimRng, Topology};
 use proptest::prelude::*;
 
 /// Pages the stores may populate; the page after them is never written by
@@ -99,7 +99,7 @@ fn run_differential(seed: u64) {
     let mut version = 0u64;
     for store in &mut stores {
         let skipped: Vec<bool> = (0..PAGES).map(|_| rng.next_bounded(3) == 0).collect();
-        for i in 0..1_500u64 {
+        for _ in 0..1_500u64 {
             let page = rng.next_bounded(PAGES as u64) as usize;
             if skipped[page] {
                 continue;
@@ -121,7 +121,7 @@ fn run_differential(seed: u64) {
             if rng.next_bounded(4) == 0 {
                 store.preload(key, Version(v), size);
             } else {
-                store.apply_write(key, Version(v), size, SimTime::from_micros(i));
+                store.apply_write(key, Version(v), size);
             }
         }
     }

@@ -9,7 +9,7 @@
 //! direct-index layout changed behaviour, not just speed.
 
 use concord_cluster::{Key, ReplicaStore, StoredValue, Version};
-use concord_sim::{FxHashMap, SimRng, SimTime};
+use concord_sim::{FxHashMap, SimRng};
 use proptest::prelude::*;
 
 /// The pre-refactor hash-map store, preserved as the reference model.
@@ -23,7 +23,7 @@ struct ReferenceStore {
 }
 
 impl ReferenceStore {
-    fn apply_write(&mut self, key: Key, version: Version, size: u32, at: SimTime) -> bool {
+    fn apply_write(&mut self, key: Key, version: Version, size: u32) -> bool {
         self.write_ops += 1;
         match self.data.get_mut(&key) {
             Some(existing) if existing.version >= version => {
@@ -32,23 +32,12 @@ impl ReferenceStore {
             }
             Some(existing) => {
                 self.bytes_stored = self.bytes_stored - existing.size as u64 + size as u64;
-                *existing = StoredValue {
-                    version,
-                    size,
-                    applied_at: at,
-                };
+                *existing = StoredValue { version, size };
                 true
             }
             None => {
                 self.bytes_stored += size as u64;
-                self.data.insert(
-                    key,
-                    StoredValue {
-                        version,
-                        size,
-                        applied_at: at,
-                    },
-                );
+                self.data.insert(key, StoredValue { version, size });
                 true
             }
         }
@@ -62,14 +51,7 @@ impl ReferenceStore {
             self.bytes_stored -= old.size as u64;
         }
         self.bytes_stored += size as u64;
-        self.data.insert(
-            key,
-            StoredValue {
-                version,
-                size,
-                applied_at: SimTime::ZERO,
-            },
-        );
+        self.data.insert(key, StoredValue { version, size });
     }
 
     fn read(&mut self, key: Key) -> Option<StoredValue> {
@@ -126,9 +108,8 @@ fn run_differential(seed: u64, ops: usize) {
                     version
                 };
                 let size = 50 + rng.next_bounded(1_000) as u32;
-                let at = SimTime::from_micros(i as u64);
-                let a = dense.apply_write(key, Version(v), size, at);
-                let b = reference.apply_write(key, Version(v), size, at);
+                let a = dense.apply_write(key, Version(v), size);
+                let b = reference.apply_write(key, Version(v), size);
                 prop_assert_eq!(a, b, "apply_write result diverged at op {}", i);
             }
             5..=7 => {

@@ -2,7 +2,7 @@
 //! key space by hashing the zipfian rank (YCSB's default request
 //! distribution for workloads A and B).
 
-use super::zipfian::ZipfianGenerator;
+use super::zipfian::{ZipfianGenerator, PRECOMPUTED_ZETA_ITEMS};
 use super::ItemGenerator;
 use crate::hashing::fnv1a_64;
 use concord_sim::SimRng;
@@ -18,10 +18,11 @@ pub struct ScrambledZipfianGenerator {
 }
 
 /// YCSB uses a fixed large internal item space so that the zeta constant can
-/// be precomputed; we do the same (10 billion in YCSB; a smaller space keeps
-/// construction instant while preserving the distribution shape over any
-/// realistic record count).
-const INTERNAL_ITEM_COUNT: u64 = 100_000_000;
+/// be precomputed; we do the same (10 billion in YCSB, 10⁸ here): up to that
+/// many records, construction reads the precomputed ζ(10⁸, 0.99) instead of
+/// summing it, and the distribution shape holds over any realistic record
+/// count.
+const INTERNAL_ITEM_COUNT: u64 = PRECOMPUTED_ZETA_ITEMS;
 
 impl ScrambledZipfianGenerator {
     /// Create a generator over `item_count` items with θ = 0.99.

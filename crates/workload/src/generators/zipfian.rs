@@ -11,6 +11,15 @@ use concord_sim::SimRng;
 /// The zipfian constant YCSB uses by default.
 pub const DEFAULT_ZIPFIAN_CONSTANT: f64 = 0.99;
 
+/// The item count whose ζ at [`DEFAULT_ZIPFIAN_CONSTANT`] is precomputed:
+/// the scrambled-zipfian generator's fixed internal item space.
+pub(super) const PRECOMPUTED_ZETA_ITEMS: u64 = 100_000_000;
+
+/// ζ(10⁸, 0.99), bit-identical to what [`ZipfianGenerator::zeta_series`]
+/// sums (pinned by a unit test). Like YCSB's hardcoded `ZETAN`, it spares
+/// every scrambled-zipfian construction 10⁶ `powf` terms.
+const PRECOMPUTED_ZETA: f64 = 20.80293049002505;
+
 /// Zipf-distributed rank generator over `[0, item_count)`.
 #[derive(Debug, Clone)]
 pub struct ZipfianGenerator {
@@ -54,13 +63,22 @@ impl ZipfianGenerator {
         }
     }
 
-    /// The generalized harmonic number ζ(n, θ) = Σ_{i=1..n} 1/i^θ.
-    ///
-    /// For very large `n` (the scrambled-zipfian generator uses an internal
-    /// item space of 10⁸) the sum is split into an exact prefix and an
-    /// integral approximation of the tail, `∫ x^{-θ} dx`, whose relative
-    /// error is far below anything observable in sampled frequencies.
+    /// The generalized harmonic number ζ(n, θ) = Σ_{i=1..n} 1/i^θ: the
+    /// precomputed constant for the scrambled-zipfian generator's
+    /// (10⁸, 0.99), [`ZipfianGenerator::zeta_series`] for anything else.
     fn zeta(n: u64, theta: f64) -> f64 {
+        if n == PRECOMPUTED_ZETA_ITEMS && theta == DEFAULT_ZIPFIAN_CONSTANT {
+            PRECOMPUTED_ZETA
+        } else {
+            Self::zeta_series(n, theta)
+        }
+    }
+
+    /// ζ(n, θ) by summation. For very large `n` the sum is split into an
+    /// exact prefix and an integral approximation of the tail,
+    /// `∫ x^{-θ} dx`, whose relative error is far below anything observable
+    /// in sampled frequencies.
+    fn zeta_series(n: u64, theta: f64) -> f64 {
         const EXACT_PREFIX: u64 = 1_000_000;
         let exact_n = n.min(EXACT_PREFIX);
         let mut sum = 0.0;
@@ -184,6 +202,26 @@ mod tests {
         assert!(
             (ratio - expected).abs() < 0.25,
             "ratio={ratio}, expected≈{expected}"
+        );
+    }
+
+    #[test]
+    fn precomputed_zeta_matches_the_series_bit_for_bit() {
+        let series =
+            ZipfianGenerator::zeta_series(PRECOMPUTED_ZETA_ITEMS, DEFAULT_ZIPFIAN_CONSTANT);
+        assert_eq!(PRECOMPUTED_ZETA.to_bits(), series.to_bits());
+        assert_eq!(
+            ZipfianGenerator::zeta(PRECOMPUTED_ZETA_ITEMS, DEFAULT_ZIPFIAN_CONSTANT).to_bits(),
+            series.to_bits()
+        );
+        // Any other (n, θ) is still summed.
+        assert_eq!(
+            ZipfianGenerator::zeta(1000, DEFAULT_ZIPFIAN_CONSTANT),
+            ZipfianGenerator::zeta_series(1000, DEFAULT_ZIPFIAN_CONSTANT)
+        );
+        assert_eq!(
+            ZipfianGenerator::zeta(PRECOMPUTED_ZETA_ITEMS, 0.5),
+            ZipfianGenerator::zeta_series(PRECOMPUTED_ZETA_ITEMS, 0.5)
         );
     }
 
